@@ -2,9 +2,9 @@
 
 The package is organised around a small immutable :class:`SignedGraph` value
 type.  Matrix views (adjacency, Laplacian, incidence), NEPS-style products,
-signed line graphs, closed-form spectra for the standard families and a dense
-symmetric eigensolver are layered on top, with brute-force oracles available
-for cross-checking.
+signed line graphs, closed-form spectra for the standard families and dense
+symmetric eigenvalues (LAPACK) are layered on top, with brute-force oracles,
+among them a pure-Python eigensolver, available for cross-checking.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ from .products import Basis, cartesian_basis, neps, p_sum_basis, strong_basis
 from .spectra import (
     EigensolverError,
     adjacency_spectrum,
-    energy,
-    laplacian_energy,
+    energy_from_spectrum,
+    laplacian_energy_from_spectrum,
     laplacian_spectrum,
 )
 from .verify import SUITES, run_suite
@@ -99,8 +99,8 @@ def _report(g: SignedGraph) -> dict:
     return {
         "spectrum": list(spec.values),
         "laplacian_spectrum": list(lap.values),
-        "energy": energy(g),
-        "laplacian_energy": laplacian_energy(g),
+        "energy": energy_from_spectrum(spec),
+        "laplacian_energy": laplacian_energy_from_spectrum(lap, g),
         "balance": {"b": rep.b, "c": rep.c, "c_b": rep.c_b, "balanced": rep.balanced},
     }
 
@@ -159,6 +159,8 @@ def cmd_verify(ns) -> int:
         names = [ns.suite]
     else:
         raise ValueError(f"unknown suite {ns.suite!r}, expected one of {sorted(SUITES)} or 'all'")
+    if ns.max_size is not None and ns.max_size < 1:
+        raise ValueError(f"--max must be at least 1, got {ns.max_size}")
     seed = ns.seed
     if seed is None and os.environ.get("SIGNET_SEED"):
         seed = int(os.environ["SIGNET_SEED"])

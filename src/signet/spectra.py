@@ -1,15 +1,14 @@
-"""Dense symmetric eigensolver and spectral invariants.
+"""Dense symmetric eigenvalues and spectral invariants.
 
-The solver reduces the matrix to tridiagonal form with Householder
-reflections and then finds eigenvalues with the implicit-shift QL
-iteration.  It is deterministic, accurate to machine precision relative to
-the matrix norm, and raises :class:`EigensolverError` if an eigenvalue
-fails to converge within the iteration cap.
+Eigenvalues come from LAPACK through :func:`numpy.linalg.eigvalsh`; a LAPACK
+failure is raised as :class:`EigensolverError`.  The pure-Python
+Householder + QL solver in :mod:`signet.oracle` is the independent referee
+the tests pit against it.  Energies are computed from a spectrum, so a
+caller that already holds one does not solve again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,15 +24,16 @@ __all__ = [
     "laplacian_spectrum",
     "energy",
     "laplacian_energy",
+    "energy_from_spectrum",
+    "laplacian_energy_from_spectrum",
     "multiplicity_of",
 ]
 
-_MAX_QL_ITERATIONS = 100
 DEFAULT_MULTIPLICITY_TOL = 1e-6
 
 
 class EigensolverError(RuntimeError):
-    """Raised when the eigenvalue iteration fails to converge."""
+    """Raised when an eigenvalue computation fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -50,99 +50,11 @@ class Spectrum:
         return iter(self.values)
 
 
-def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a symmetric matrix in place; return (diagonal, subdiagonal)."""
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        norm_x = math.sqrt(float(x @ x))
-        if norm_x == 0.0:
-            continue
-        alpha = -math.copysign(norm_x, x[0]) if x[0] != 0.0 else -norm_x
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = math.sqrt(float(v @ v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        sub = a[k + 1 :, k + 1 :]
-        w = sub @ v
-        w -= (v @ w) * v
-        sub -= 2.0 * np.outer(v, w)
-        sub -= 2.0 * np.outer(w, v)
-        a[k + 1, k] = alpha
-        a[k + 2 :, k] = 0.0
-    return np.diag(a).copy(), np.diag(a, -1).copy()
-
-
-def _ql_eigenvalues(d: np.ndarray, e: np.ndarray, scale: float) -> np.ndarray:
-    """Implicit-shift QL on a symmetric tridiagonal matrix, values only."""
-    n = d.size
-    e = np.concatenate([e, [0.0]])
-    eps = np.finfo(float).eps
-    for l in range(n):
-        iterations = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd or abs(e[m]) <= eps * eps * scale:
-                    break
-                m += 1
-            if m == l:
-                break
-            iterations += 1
-            if iterations > _MAX_QL_ITERATIONS:
-                raise EigensolverError(
-                    f"eigenvalue {l} did not converge within "
-                    f"{_MAX_QL_ITERATIONS} QL iterations"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d
-
-
 def _solve_symmetric(matrix: np.ndarray) -> np.ndarray:
-    n = matrix.shape[0]
-    if n == 0:
-        return np.empty(0)
-    if n == 1:
-        return np.array([float(matrix[0, 0])])
-    work = np.array(matrix, dtype=float, copy=True)
-    scale = float(np.sqrt((work * work).sum()))
-    if scale == 0.0:
-        return np.zeros(n)
-    d, e = _householder_tridiagonalize(work)
-    vals = _ql_eigenvalues(d, e, scale)
-    vals.sort()
-    return vals
+    try:
+        return np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"LAPACK eigvalsh failed: {exc}") from exc
 
 
 def eigenvalues(matrix, tol: float = DEFAULT_MULTIPLICITY_TOL) -> Spectrum:
@@ -164,17 +76,27 @@ def laplacian_spectrum(g: SignedGraph, tol: float = DEFAULT_MULTIPLICITY_TOL) ->
     return eigenvalues(laplacian(g), tol)
 
 
+def energy_from_spectrum(spectrum: Spectrum | Iterable[float]) -> float:
+    """Sum of absolute values of an adjacency spectrum."""
+    return float(sum(abs(v) for v in spectrum))
+
+
+def laplacian_energy_from_spectrum(spectrum: Spectrum | Iterable[float], g: SignedGraph) -> float:
+    """Sum of |mu - average degree of g| over a Laplacian spectrum of g."""
+    if g.n == 0:
+        return 0.0
+    d_bar = 2.0 * g.m / g.n
+    return float(sum(abs(v - d_bar) for v in spectrum))
+
+
 def energy(g: SignedGraph) -> float:
     """Sum of absolute adjacency eigenvalues."""
-    return float(sum(abs(v) for v in adjacency_spectrum(g).values))
+    return energy_from_spectrum(adjacency_spectrum(g))
 
 
 def laplacian_energy(g: SignedGraph) -> float:
     """Sum of |mu - average degree| over Laplacian eigenvalues mu."""
-    if g.n == 0:
-        return 0.0
-    d_bar = 2.0 * g.m / g.n
-    return float(sum(abs(v - d_bar) for v in laplacian_spectrum(g).values))
+    return laplacian_energy_from_spectrum(laplacian_spectrum(g), g)
 
 
 def multiplicity_of(spectrum: Spectrum | Iterable[float], x: float, tol: float | None = None) -> int:

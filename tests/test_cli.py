@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import assert_multiset_close
 
+from signet import formulas
 from signet.cli import main
 from signet.families import cycle, grid, path
 from signet.graphs import dumps, loads
@@ -64,6 +66,26 @@ def test_empty_graph_report(tmp_path, capsys):
     assert report["energy"] == 0.0
     assert report["laplacian_energy"] == 0.0
     assert report["balance"]["b"] == report["balance"]["c"] == 0
+
+
+def test_large_cycle_spectrum_matches_closed_form(capsys):
+    n = 1000
+    code, out, _ = run(capsys, "spectrum", "--family", f"cycle:n={n},r=1")
+    assert code == 0
+    report = json.loads(out)
+    assert_multiset_close(report["spectrum"], formulas.cycle_spectrum(n, 1), tol=1e-9 * n)
+
+
+def test_solver_failure_exits_three(monkeypatch, capsys):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, out, err = run(capsys, "spectrum", "--family", "cycle:n=5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("signet: numerical failure: ")
+    assert "Traceback" not in err
 
 
 def test_csv_output(capsys):
@@ -202,6 +224,14 @@ def test_verify_command_runs_suites(capsys):
     assert code == 0
     assert "closed-forms:" in out
     assert "0 failures" in out
+
+
+@pytest.mark.parametrize("suite", ["all", "closed-forms"])
+def test_verify_rejects_max_below_one(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--max", "0")
+    assert code == 2
+    assert out == ""
+    assert "--max" in err
 
 
 def test_verify_honours_seed_flag(capsys):

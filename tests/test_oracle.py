@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from signet.families import complete, cycle, path
-from signet.graphs import SignedGraph, balance_report, laplacian, underlying
-from signet.oracle import balance_by_cycles, balance_by_switching, rank_exact
+from conftest import TEST_SEED, assert_multiset_close
+
+from signet import oracle
+from signet.families import complete, cycle, path, random_signed_graph, torus
+from signet.graphs import SignedGraph, adjacency, balance_report, laplacian, underlying
+from signet.oracle import balance_by_cycles, balance_by_switching, eigenvalues_ql, rank_exact
+from signet.spectra import EigensolverError, eigenvalues
 
 
 def test_trees_have_no_cycles_and_are_balanced():
@@ -53,3 +57,36 @@ def test_triple_agreement_on_corpus(corpus):
         for comp in production.components:
             assert flags[frozenset(comp.vertices)] == comp.balanced
         assert balance_by_switching(g) == production.balanced
+
+
+def _assert_ql_agrees_with_solver(matrix):
+    scale = max(1.0, float(np.linalg.norm(matrix)))
+    assert_multiset_close(eigenvalues_ql(matrix), eigenvalues(matrix).values, tol=1e-9 * scale)
+
+
+def test_ql_oracle_agrees_with_solver_on_random_symmetric_matrices():
+    rng = np.random.default_rng(TEST_SEED)
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        a = rng.normal(size=(n, n))
+        _assert_ql_agrees_with_solver((a + a.T) / 2.0)
+
+
+@pytest.mark.parametrize("m, k", [(5, 10), (10, 10), (10, 20)])
+def test_ql_oracle_agrees_with_solver_on_signed_graphs(m, k):
+    rng = np.random.default_rng(TEST_SEED + m * k)
+    for g in (random_signed_graph(rng, m * k, 0.3), torus(m, 1, k, 0)):
+        _assert_ql_agrees_with_solver(adjacency(g))
+        _assert_ql_agrees_with_solver(laplacian(g))
+
+
+def test_ql_oracle_degenerate_orders():
+    assert eigenvalues_ql(np.zeros((0, 0))).size == 0
+    assert list(eigenvalues_ql(np.array([[7.5]]))) == [7.5]
+    assert list(eigenvalues_ql(np.zeros((3, 3)))) == [0.0, 0.0, 0.0]
+
+
+def test_ql_oracle_raises_when_iteration_cap_is_hit(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_QL_ITERATIONS", 0)
+    with pytest.raises(EigensolverError):
+        eigenvalues_ql(adjacency(cycle(5, 1)))
