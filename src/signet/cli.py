@@ -21,8 +21,10 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .families import from_family_string
-from .graphs import SignedGraph, adjacency, balance_report, degree_matrix, dumps, laplacian, loads, to_json_dict
+from .graphs import SignedGraph, adjacency, balance_report, dumps, loads, to_json_dict
 from .linegraph import line_graph
 from .products import Basis, cartesian_basis, neps, p_sum_basis, strong_basis
 from .spectra import (
@@ -132,12 +134,14 @@ def cmd_product(ns) -> int:
     basis = _parse_basis(ns.basis, len(factors))
     g = neps(factors, basis)
     if ns.matrix:
+        a = adjacency(g)
+        d = np.diag(np.abs(a).sum(axis=1))
         text = json.dumps(
             {
                 "graph": to_json_dict(g),
-                "adjacency": adjacency(g).tolist(),
-                "degree": degree_matrix(g).tolist(),
-                "laplacian": laplacian(g).tolist(),
+                "adjacency": a.tolist(),
+                "degree": d.tolist(),
+                "laplacian": (d - a).tolist(),
             }
         )
     else:

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .families import complete
 from .graphs import SignedGraph, balance_report, degrees
+from .spectra import _laplacian_energy, energy_from_spectrum
 
 __all__ = [
     "parity",
@@ -111,8 +112,8 @@ def _pack(adj: list[float], lap: list[float], d_bar: float) -> ClosedFormSpectra
     return ClosedFormSpectra(
         adjacency=tuple(adj),
         laplacian=tuple(lap),
-        energy=sum(abs(v) for v in adj),
-        laplacian_energy=sum(abs(v - d_bar) for v in lap),
+        energy=energy_from_spectrum(adj),
+        laplacian_energy=_laplacian_energy(lap, d_bar),
         average_degree=d_bar,
     )
 

@@ -53,7 +53,6 @@ class SignedGraph:
             raise ValueError(f"vertex count must be an integer, got {self.n!r}") from None
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
         canon = []
         for edge in self.edges:
             try:
@@ -67,12 +66,15 @@ class SignedGraph:
                 raise ValueError(f"edge {edge!r} violates 0 <= u < v < {n}")
             if s not in (1, -1):
                 raise ValueError(f"edge {edge!r} has sign {s}, expected +1 or -1")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
             canon.append((u, v, s))
+        canon.sort()  # linear on input that is already sorted
+        pu = pv = -1
+        for u, v, _ in canon:
+            if u == pu and v == pv:
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            pu, pv = u, v
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        object.__setattr__(self, "edges", tuple(canon))
 
     @property
     def m(self) -> int:
@@ -286,8 +288,12 @@ def from_json_dict(obj) -> SignedGraph:
 
 
 def dumps(g: SignedGraph) -> str:
-    """Canonical single-line JSON text (stable for sorted edge lists)."""
-    return json.dumps(to_json_dict(g))
+    """Canonical single-line JSON text (stable for sorted edge lists).
+
+    The edge tuples go to the encoder as they are; it writes tuples as
+    arrays, so the text equals ``json.dumps(to_json_dict(g))``.
+    """
+    return json.dumps({"n": g.n, "edges": g.edges})
 
 
 def loads(text: str) -> SignedGraph:

@@ -81,12 +81,16 @@ def energy_from_spectrum(spectrum: Spectrum | Iterable[float]) -> float:
     return float(sum(abs(v) for v in spectrum))
 
 
+def _laplacian_energy(spectrum: Spectrum | Iterable[float], d_bar: float) -> float:
+    """Sum of |mu - d_bar| over a Laplacian spectrum, d_bar the average degree."""
+    return float(sum(abs(v - d_bar) for v in spectrum))
+
+
 def laplacian_energy_from_spectrum(spectrum: Spectrum | Iterable[float], g: SignedGraph) -> float:
     """Sum of |mu - average degree of g| over a Laplacian spectrum of g."""
     if g.n == 0:
         return 0.0
-    d_bar = 2.0 * g.m / g.n
-    return float(sum(abs(v - d_bar) for v in spectrum))
+    return _laplacian_energy(spectrum, 2.0 * g.m / g.n)
 
 
 def energy(g: SignedGraph) -> float:

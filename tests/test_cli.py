@@ -12,9 +12,10 @@ from conftest import assert_multiset_close
 
 from signet import formulas
 from signet.cli import main
-from signet.families import cycle, grid, path
-from signet.graphs import dumps, loads
+from signet.families import complete, cycle, grid, path
+from signet.graphs import adjacency, degree_matrix, dumps, laplacian, loads, to_json_dict
 from signet.linegraph import line_graph
+from signet.products import Basis, neps
 
 
 def run(capsys, *argv):
@@ -168,6 +169,25 @@ def test_product_matrix_flag(capsys):
     for i in range(4):
         for j in range(4):
             assert lap[i][j] == deg[i][j] - a[i][j]
+
+
+def test_product_matrix_output_is_the_graph_law_encoding(capsys):
+    code, out, _ = run(
+        capsys,
+        "product",
+        "--family", "complete:n=5,sign=-", "--family", "cycle:n=4,r=1",
+        "--basis", "01,11",
+        "--matrix",
+    )
+    assert code == 0
+    g = neps([complete(5, -1), cycle(4, 1)], Basis(2, ((0, 1), (1, 1))))
+    want = {
+        "graph": to_json_dict(g),
+        "adjacency": adjacency(g).tolist(),
+        "degree": degree_matrix(g).tolist(),
+        "laplacian": laplacian(g).tolist(),
+    }
+    assert out == json.dumps(want) + "\n"
 
 
 def test_product_needs_two_inputs(capsys):

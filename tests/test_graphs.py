@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -51,6 +52,32 @@ def test_rejects_bad_edges():
         SignedGraph(3, ((0, 1, 1), (0, 1, -1)))  # duplicate pair
     with pytest.raises(ValueError):
         SignedGraph(-1)
+
+
+def test_constructor_sorts_any_input_order():
+    rng = np.random.default_rng(TEST_SEED + 30)
+    for n in (0, 1, 5, 12, 30):
+        g = random_signed_graph(rng, n, 0.4)
+        assert SignedGraph(n, reversed(g.edges)) == g
+        shuffled = list(g.edges)
+        rng.shuffle(shuffled)
+        assert SignedGraph(n, tuple(shuffled)).edges == g.edges
+
+
+def test_duplicate_pair_is_named():
+    for edges, pair in (
+        (((0, 1, 1), (0, 1, -1)), r"\(0, 1\)"),
+        (((2, 3, 1), (0, 1, 1), (1, 2, -1), (0, 1, 1)), r"\(0, 1\)"),
+        (((1, 3, -1), (0, 2, 1), (1, 3, 1)), r"\(1, 3\)"),
+    ):
+        with pytest.raises(ValueError, match="duplicate edge " + pair):
+            SignedGraph(4, edges)
+
+
+def test_malformed_edge_is_named():
+    for edge in ((0.5, 1, 1), (0, "1", 1), (0, 1, 1.0), (0, 1), (0, 1, 1, 1), None, (0, None, 1)):
+        with pytest.raises(ValueError, match="malformed edge"):
+            SignedGraph(3, ((1, 2, 1), edge))
 
 
 def test_empty_graph_is_allowed():
@@ -254,6 +281,14 @@ def test_json_round_trip_is_byte_identical():
     text = dumps(g)
     assert loads(text) == g
     assert dumps(loads(text)) == text
+
+
+def test_dumps_equals_encoding_of_the_json_dict():
+    rng = np.random.default_rng(TEST_SEED + 31)
+    graphs = [SignedGraph(0), SignedGraph(3)]
+    graphs += [random_signed_graph(rng, int(rng.integers(1, 40)), 0.3) for _ in range(20)]
+    for g in graphs:
+        assert dumps(g) == json.dumps(to_json_dict(g))
 
 
 def test_json_dict_shape():

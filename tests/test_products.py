@@ -145,6 +145,79 @@ def test_neps_matches_kronecker_formula():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "orders, basis, p",
+    [
+        ((8, 8, 8), strong_basis(3), 1.0),  # signed K_8 strong cube, order 512
+        ((6, 6, 5), p_sum_basis(3, 2), 0.6),
+        ((5, 5, 5), p_sum_basis(3, 2), 0.6),
+        ((12, 9), Basis(2, ((1, 0), (0, 1), (1, 1))), 0.6),
+        ((5, 5, 5), Basis(3, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0))), 0.6),
+        ((12, 10), Basis(2, ((0, 1), (1, 1))), 0.6),
+        ((10, 10), cartesian_basis(2), 0.6),
+    ],
+)
+def test_neps_matches_kronecker_formula_at_larger_orders(orders, basis, p):
+    rng = np.random.default_rng(TEST_SEED + 20 + math.prod(orders))
+    factors = [random_signed_graph(rng, n, p) for n in orders]
+    got = adjacency(neps(factors, basis))
+    want = kron_sum_over_basis([adjacency(f) for f in factors], basis)
+    assert 100 <= got.shape[0] <= 512
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [SignedGraph(3), cycle(4, 1)],  # edgeless factor
+        [SignedGraph(1), path(5, 2)],  # single-vertex factor
+        [cycle(3, 1), SignedGraph(1), complete(4, -1)],
+        [SignedGraph(1), SignedGraph(1)],
+        [SignedGraph(2), SignedGraph(4)],
+        [SignedGraph(0), path(3, 1)],  # empty factor, empty product
+    ],
+)
+def test_neps_with_edgeless_and_single_vertex_factors(factors):
+    nu = len(factors)
+    bases = [cartesian_basis(nu), strong_basis(nu)]
+    bases.append(Basis(nu, tuple(v for v in itertools.product((0, 1), repeat=nu) if any(v))))
+    for basis in bases:
+        g = neps(factors, basis)
+        assert g.n == math.prod(f.n for f in factors)
+        want = kron_sum_over_basis([adjacency(f) for f in factors], basis)
+        assert np.array_equal(adjacency(g), want)
+
+
+def test_neps_order_limits():
+    # Edgeless support factors yield no edges without building per-vertex arrays.
+    assert neps([SignedGraph(2)] * 40, cartesian_basis(40)) == SignedGraph(2**40)
+    # Flat indices are int64, so a larger product order is refused rather than wrapped.
+    big = SignedGraph(2**22, ((0, 1, -1),))
+    with pytest.raises(ValueError, match="exceeds the int64 range"):
+        neps([big, big, big], strong_basis(3))
+    assert neps([big, big], strong_basis(2)).edges == ((0, 2**22 + 1, 1), (1, 2**22, 1))
+
+
+def test_neps_hands_the_constructor_sorted_edges(monkeypatch):
+    import signet.products as products
+
+    received = []
+
+    def recording(n, edges):
+        received.append(edges)
+        return SignedGraph(n, edges)
+
+    monkeypatch.setattr(products, "SignedGraph", recording)
+    rng = np.random.default_rng(TEST_SEED + 21)
+    factors = [random_signed_graph(rng, n, 0.6) for n in (6, 7, 5)]
+    for basis in (p_sum_basis(3, 2), p_sum_basis(3, 1), Basis(3, ((1, 1, 1), (1, 0, 0), (0, 1, 1)))):
+        g = neps(factors, basis)
+        edges = received.pop()
+        assert list(edges) == sorted(edges)
+        assert tuple(edges) == g.edges
+        assert all(type(x) is int for e in edges for x in e)
+
+
 def test_all_positive_factors_give_all_positive_product():
     rng = np.random.default_rng(TEST_SEED + 3)
     factors = [random_signed_graph(rng, 3, 0.8), random_signed_graph(rng, 4, 0.8)]
