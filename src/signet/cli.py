@@ -23,17 +23,12 @@ import sys
 
 import numpy as np
 
-from .families import from_family_string
-from .graphs import SignedGraph, adjacency, balance_report, dumps, loads, to_json_dict
+from .families import from_family_string, parse_family
+from .graphs import SignedGraph, adjacency, dumps, laplacian_from_adjacency, loads, to_json_dict
 from .linegraph import line_graph
 from .products import Basis, cartesian_basis, neps, p_sum_basis, strong_basis
-from .spectra import (
-    EigensolverError,
-    adjacency_spectrum,
-    energy_from_spectrum,
-    laplacian_energy_from_spectrum,
-    laplacian_spectrum,
-)
+from .spectra import EigensolverError
+from .structured import SpectralNode, adjacency_values, spectral_node
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -59,7 +54,11 @@ class _InputAction(argparse.Action):
 def _load_input(kind: str, value: str) -> SignedGraph:
     if kind == "family":
         return from_family_string(value)
-    with open(value, "r", encoding="utf-8") as fh:
+    return _load_file(value)
+
+
+def _load_file(path: str) -> SignedGraph:
+    with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
 
 
@@ -94,34 +93,31 @@ def _parse_basis(text: str, nu: int) -> Basis:
 # --- subcommands ------------------------------------------------------------
 
 
-def _report(g: SignedGraph) -> dict:
-    spec = adjacency_spectrum(g)
-    lap = laplacian_spectrum(g)
-    rep = balance_report(g)
+def _report(node: SpectralNode) -> dict:
     return {
-        "spectrum": list(spec.values),
-        "laplacian_spectrum": list(lap.values),
-        "energy": energy_from_spectrum(spec),
-        "laplacian_energy": laplacian_energy_from_spectrum(lap, g),
-        "balance": {"b": rep.b, "c": rep.c, "c_b": rep.c_b, "balanced": rep.balanced},
+        "spectrum": node.adjacency.tolist(),
+        "laplacian_spectrum": node.laplacian.tolist(),
+        "energy": node.energy,
+        "laplacian_energy": node.laplacian_energy,
+        "balance": {"b": node.b, "c": node.c, "c_b": node.c_b, "balanced": node.b == node.c},
     }
 
 
-def _single_input(ns, command: str) -> SignedGraph:
+def _single_input(ns, command: str) -> tuple[str, str]:
     inputs = getattr(ns, "inputs", None) or []
     if len(inputs) != 1:
         raise ValueError(f"{command} expects exactly one --family or --file input")
-    return _load_input(*inputs[0])
+    return inputs[0]
 
 
 def cmd_spectrum(ns) -> int:
-    g = _single_input(ns, "spectrum")
-    if ns.line:
-        g = line_graph(g).graph
+    kind, value = _single_input(ns, "spectrum")
+    # A family is answered from its spectral rules; a file is built and solved.
+    source = parse_family(value) if kind == "family" else _load_file(value)
     if ns.csv:
-        text = "\n".join("%.12g" % v for v in adjacency_spectrum(g).values)
+        text = "\n".join("%.12g" % v for v in adjacency_values(source, ns.line))
     else:
-        text = json.dumps(_report(g))
+        text = json.dumps(_report(spectral_node(source, ns.line)))
     _emit(text, ns.out)
     return EXIT_OK
 
@@ -135,13 +131,13 @@ def cmd_product(ns) -> int:
     g = neps(factors, basis)
     if ns.matrix:
         a = adjacency(g)
-        d = np.diag(np.abs(a).sum(axis=1))
+        lap = laplacian_from_adjacency(a)
         text = json.dumps(
             {
                 "graph": to_json_dict(g),
                 "adjacency": a.tolist(),
-                "degree": d.tolist(),
-                "laplacian": (d - a).tolist(),
+                "degree": np.diag(np.diag(lap)).tolist(),
+                "laplacian": lap.tolist(),
             }
         )
     else:
@@ -151,7 +147,7 @@ def cmd_product(ns) -> int:
 
 
 def cmd_line(ns) -> int:
-    g = _single_input(ns, "line")
+    g = _load_input(*_single_input(ns, "line"))
     _emit(dumps(line_graph(g).graph), ns.out)
     return EXIT_OK
 

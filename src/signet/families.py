@@ -24,31 +24,51 @@ __all__ = [
     "random_signed_graph",
     "FamilySpec",
     "parse_family",
+    "family_leaves",
     "build_family",
     "from_family_string",
 ]
 
 
-def path(n: int, r: int = 0) -> SignedGraph:
-    """Path on n vertices with the first r edges negative."""
+def _path_params(n: int, r: int) -> tuple[int, int]:
     n = operator.index(n)
     r = operator.index(r)
     if n < 1:
         raise ValueError("path needs n >= 1")
     if not 0 <= r <= max(n - 1, 0):
         raise ValueError(f"negative edge count r={r} out of range 0..{n - 1}")
-    edges = tuple((i, i + 1, -1 if i < r else 1) for i in range(n - 1))
-    return SignedGraph(n, edges)
+    return n, r
 
 
-def cycle(n: int, r: int = 0) -> SignedGraph:
-    """Cycle on n >= 3 vertices with the first r traversal edges negative."""
+def _cycle_params(n: int, r: int) -> tuple[int, int]:
     n = operator.index(n)
     r = operator.index(r)
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     if not 0 <= r <= n:
         raise ValueError(f"negative edge count r={r} out of range 0..{n}")
+    return n, r
+
+
+def _complete_params(n: int, sign: int) -> tuple[int, int]:
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("complete graph needs n >= 1")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return n, sign
+
+
+def path(n: int, r: int = 0) -> SignedGraph:
+    """Path on n vertices with the first r edges negative."""
+    n, r = _path_params(n, r)
+    edges = tuple((i, i + 1, -1 if i < r else 1) for i in range(n - 1))
+    return SignedGraph(n, edges)
+
+
+def cycle(n: int, r: int = 0) -> SignedGraph:
+    """Cycle on n >= 3 vertices with the first r traversal edges negative."""
+    n, r = _cycle_params(n, r)
     traversal = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     edges = tuple(
         (u, v, -1 if k < r else 1) for k, (u, v) in enumerate(traversal)
@@ -58,11 +78,7 @@ def cycle(n: int, r: int = 0) -> SignedGraph:
 
 def complete(n: int, sign: int = 1) -> SignedGraph:
     """Complete graph on n >= 1 vertices with every edge carrying sign."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    n, sign = _complete_params(n, sign)
     edges = tuple(
         (u, v, sign) for u in range(n) for v in range(u + 1, n)
     )
@@ -155,20 +171,37 @@ def parse_family(text: str) -> FamilySpec:
     return FamilySpec(kind, params)
 
 
-def build_family(spec: FamilySpec) -> SignedGraph:
-    params = dict(spec.params)
+# Leaf kind -> (constructor, parameter check, second key and its default).
+_LEAVES = {
+    "path": (path, _path_params, "r", 0),
+    "cycle": (cycle, _cycle_params, "r", 0),
+    "complete": (complete, _complete_params, "sign", 1),
+}
+# The Cartesian factors of the two-leaf families, as (first, second) leaf kinds.
+_PRODUCT_LEAVES = {"grid": ("path", "path"), "cylinder": ("cycle", "path"), "torus": ("cycle", "cycle")}
+
+
+def family_leaves(spec: FamilySpec) -> tuple[tuple[str, int, int], ...]:
+    """The validated leaves ``(kind, n, r or sign)`` whose Cartesian product
+    is the family's graph; one leaf for path, cycle and complete, two for
+    grid, cylinder and torus.  Raises ValueError with the same messages as
+    the constructors."""
+    p = spec.params
     try:
-        if spec.kind == "path":
-            return path(params.pop("n"), params.pop("r", 0))
-        if spec.kind == "cycle":
-            return cycle(params.pop("n"), params.pop("r", 0))
-        if spec.kind == "complete":
-            return complete(params.pop("n"), params.pop("sign", 1))
-        return {"grid": grid, "cylinder": cylinder, "torus": torus}[spec.kind](
-            params.pop("m"), params.pop("r1", 0), params.pop("n"), params.pop("r2", 0)
-        )
+        if spec.kind in _PRODUCT_LEAVES:
+            first, second = _PRODUCT_LEAVES[spec.kind]
+            raw = [(first, p["m"], p.get("r1", 0)), (second, p["n"], p.get("r2", 0))]
+        else:
+            key, default = _LEAVES[spec.kind][2:]
+            raw = [(spec.kind, p["n"], p.get(key, default))]
     except KeyError as missing:
         raise ValueError(f"family {spec.kind!r} is missing key {missing}") from None
+    return tuple((kind, *_LEAVES[kind][1](n, x)) for kind, n, x in raw)
+
+
+def build_family(spec: FamilySpec) -> SignedGraph:
+    factors = [_LEAVES[kind][0](n, x) for kind, n, x in family_leaves(spec)]
+    return factors[0] if len(factors) == 1 else cartesian(factors)
 
 
 def from_family_string(text: str) -> SignedGraph:

@@ -14,11 +14,12 @@ function notes say so and implement the validated form.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .families import complete
 from .graphs import SignedGraph, balance_report, degrees
@@ -30,6 +31,9 @@ __all__ = [
     "path_laplacian_spectrum",
     "cycle_spectrum",
     "cycle_laplacian_spectrum",
+    "complete_spectrum",
+    "complete_laplacian_spectrum",
+    "cartesian_sum",
     "ClosedFormSpectra",
     "grid_spectra",
     "cylinder_spectra",
@@ -92,9 +96,41 @@ def cycle_laplacian_spectrum(n: int, r: int) -> list[float]:
     return [2.0 * (1.0 - math.cos((2 * j - t) * math.pi / n)) for j in range(1, n + 1)]
 
 
+def complete_spectrum(n: int, sign: int) -> list[float]:
+    """Adjacency eigenvalues of sign * K_n: (n-1) sign once, -sign n-1 times."""
+    if n < 1:
+        raise ValueError("complete graph needs n >= 1")
+    return [float((n - 1) * sign)] + [float(-sign)] * (n - 1)
+
+
+def complete_laplacian_spectrum(n: int, sign: int) -> list[float]:
+    """Laplacian eigenvalues of sign * K_n: {0, n x (n-1)} for +K_n and the
+    signless {2n-2, n-2 x (n-1)} for -K_n."""
+    if n < 1:
+        raise ValueError("complete graph needs n >= 1")
+    if sign == 1:
+        return [0.0] + [float(n)] * (n - 1)
+    if sign == -1:
+        return [float(2 * n - 2)] + [float(n - 2)] * (n - 1)
+    raise ValueError("sign must be +1 or -1")
+
+
 # ---------------------------------------------------------------------------
-# two-factor Cartesian families
+# Cartesian products
 # ---------------------------------------------------------------------------
+
+
+def cartesian_sum(spectra: Sequence[Sequence[float]]) -> np.ndarray:
+    """Spectrum of a Cartesian product from its factors' spectra.
+
+    Adjacency and Laplacian matrices of a Cartesian product are Kronecker
+    sums, so its eigenvalues are every sum of one eigenvalue per factor,
+    enumerated with the first factor's index slowest (Kronecker order).
+    """
+    total = np.zeros(1)
+    for values in spectra:
+        total = (total[:, None] + np.asarray(values, dtype=float)[None, :]).ravel()
+    return total
 
 
 @dataclass(frozen=True)
@@ -108,7 +144,8 @@ class ClosedFormSpectra:
     average_degree: float
 
 
-def _pack(adj: list[float], lap: list[float], d_bar: float) -> ClosedFormSpectra:
+def _pack(adj: np.ndarray, lap: np.ndarray, d_bar: float) -> ClosedFormSpectra:
+    adj, lap = adj.tolist(), lap.tolist()
     return ClosedFormSpectra(
         adjacency=tuple(adj),
         laplacian=tuple(lap),
@@ -129,16 +166,8 @@ def grid_spectra(m: int, n: int) -> ClosedFormSpectra:
     """
     if m < 1 or n < 1:
         raise ValueError("grid needs m, n >= 1")
-    adj = [
-        2.0 * (math.cos(math.pi * i / (m + 1)) + math.cos(math.pi * j / (n + 1)))
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-    ]
-    lap = [
-        2.0 * (2.0 + math.cos(math.pi * i / m) + math.cos(math.pi * j / n))
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-    ]
+    adj = cartesian_sum([path_spectrum(m), path_spectrum(n)])
+    lap = cartesian_sum([path_laplacian_spectrum(m), path_laplacian_spectrum(n)])
     return _pack(adj, lap, 4.0 - 2.0 / m - 2.0 / n)
 
 
@@ -154,17 +183,8 @@ def cylinder_spectra(m: int, r1: int, n: int) -> ClosedFormSpectra:
         raise ValueError("cylinder needs m >= 3")
     if n < 1:
         raise ValueError("cylinder needs n >= 1")
-    t = parity(r1)
-    adj = [
-        2.0 * (math.cos((2 * i - t) * math.pi / m) + math.cos(math.pi * j / (n + 1)))
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-    ]
-    lap = [
-        2.0 * (2.0 - math.cos((2 * i - t) * math.pi / m) + math.cos(math.pi * j / n))
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-    ]
+    adj = cartesian_sum([cycle_spectrum(m, r1), path_spectrum(n)])
+    lap = cartesian_sum([cycle_laplacian_spectrum(m, r1), path_laplacian_spectrum(n)])
     return _pack(adj, lap, 4.0 - 2.0 / n)
 
 
@@ -174,13 +194,8 @@ def torus_spectra(m: int, r1: int, n: int, r2: int) -> ClosedFormSpectra:
     The Laplacian has a zero eigenvalue iff r1 and r2 are both even."""
     if m < 3 or n < 3:
         raise ValueError("torus needs m, n >= 3")
-    t1, t2 = parity(r1), parity(r2)
-    adj = [
-        2.0 * (math.cos((2 * i - t1) * math.pi / m) + math.cos((2 * j - t2) * math.pi / n))
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-    ]
-    lap = [4.0 - v for v in adj]
+    adj = cartesian_sum([cycle_spectrum(m, r1), cycle_spectrum(n, r2)])
+    lap = cartesian_sum([cycle_laplacian_spectrum(m, r1), cycle_laplacian_spectrum(n, r2)])
     return _pack(adj, lap, 4.0)
 
 
@@ -258,7 +273,7 @@ def line_spectrum_cartesian(
     spectra = [list(map(float, s)) for s in factor_lap_spectra]
     if math.prod(len(s) for s in spectra) != order:
         raise ValueError("factor spectra sizes do not multiply to the product order")
-    vals = [2.0 - sum(combo) for combo in itertools.product(*spectra)]
+    vals = (2.0 - cartesian_sum(spectra)).tolist()
     b = math.prod(int(x) for x in factor_balanced_counts)
     exact_twos = sum(1 for v in vals if abs(v - 2.0) <= _ZERO_TOL)
     if exact_twos != b:
@@ -275,7 +290,7 @@ def line_energy_cartesian(
     spectra = [list(map(float, s)) for s in factor_lap_spectra]
     if math.prod(len(s) for s in spectra) != order:
         raise ValueError("factor spectra sizes do not multiply to the product order")
-    total = sum(abs(sum(combo) - 2.0) for combo in itertools.product(*spectra))
+    total = float(np.abs(cartesian_sum(spectra) - 2.0).sum())
     return total + 2.0 * (_edge_count(order, avg_degree) - order)
 
 
@@ -418,12 +433,5 @@ def complete_line_spectra(n: int, sign: int) -> HomogeneousLineSpectra:
     identity; the values here are the ones the matrices reproduce.
     """
     n = operator.index(n)
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
-    if sign == 1:
-        lap = [0.0] + [float(n)] * (n - 1)
-    elif sign == -1:
-        lap = [float(n - 2)] * (n - 1) + [float(2 * n - 2)]
-    else:
-        raise ValueError("sign must be +1 or -1")
+    lap = complete_laplacian_spectrum(n, sign)
     return homogeneous_line_spectra(complete(n, sign), sign, lap)

@@ -22,6 +22,7 @@ __all__ = [
     "degrees",
     "degree_matrix",
     "laplacian",
+    "laplacian_from_adjacency",
     "incidence",
     "negate",
     "underlying",
@@ -57,16 +58,19 @@ class SignedGraph:
         for edge in self.edges:
             try:
                 u, v, s = edge
-                u = operator.index(u)
-                v = operator.index(v)
-                s = operator.index(s)
+                # An exact tuple of exact ints is already canonical; keep it.
+                if type(edge) is tuple and type(u) is int and type(v) is int and type(s) is int:
+                    item = edge
+                else:
+                    item = (operator.index(u), operator.index(v), operator.index(s))
+                    u, v, s = item
             except (TypeError, ValueError):
                 raise ValueError(f"malformed edge {edge!r}") from None
             if not 0 <= u < v < n:
                 raise ValueError(f"edge {edge!r} violates 0 <= u < v < {n}")
             if s not in (1, -1):
                 raise ValueError(f"edge {edge!r} has sign {s}, expected +1 or -1")
-            canon.append((u, v, s))
+            canon.append(item)
         canon.sort()  # linear on input that is already sorted
         pu = pv = -1
         for u, v, _ in canon:
@@ -127,20 +131,25 @@ def adjacency(g: SignedGraph) -> np.ndarray:
 
 def degrees(g: SignedGraph) -> np.ndarray:
     """Unsigned vertex degrees."""
-    d = np.zeros(g.n, dtype=np.int64)
+    d = [0] * g.n
     for u, v, _ in g.edges:
         d[u] += 1
         d[v] += 1
-    return d
+    return np.array(d, dtype=np.int64)
 
 
 def degree_matrix(g: SignedGraph) -> np.ndarray:
     return np.diag(degrees(g))
 
 
+def laplacian_from_adjacency(a: np.ndarray) -> np.ndarray:
+    """Signed Laplacian D - A from a signed adjacency matrix, D = diag(|A| 1)."""
+    return np.diag(np.abs(a).sum(axis=1)) - a
+
+
 def laplacian(g: SignedGraph) -> np.ndarray:
     """Signed Laplacian D - A.  Positive semidefinite for every signature."""
-    return degree_matrix(g) - adjacency(g)
+    return laplacian_from_adjacency(adjacency(g))
 
 
 def incidence(g: SignedGraph) -> np.ndarray:
@@ -281,9 +290,12 @@ def from_json_dict(obj) -> SignedGraph:
     for item in edges:
         if not isinstance(item, list) or len(item) != 3:
             raise ValueError(f"edge entries must be [u, v, sign] triples, got {item!r}")
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in item):
+        u, v, s = item
+        if not (type(u) is int and type(v) is int and type(s) is int) and any(
+            isinstance(x, bool) or not isinstance(x, int) for x in item
+        ):
             raise ValueError(f"edge entries must be integers, got {item!r}")
-        parsed.append(tuple(item))
+        parsed.append((u, v, s))
     return SignedGraph(n, tuple(parsed))
 
 

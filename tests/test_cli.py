@@ -77,16 +77,21 @@ def test_large_cycle_spectrum_matches_closed_form(capsys):
     assert_multiset_close(report["spectrum"], formulas.cycle_spectrum(n, 1), tol=1e-9 * n)
 
 
-def test_solver_failure_exits_three(monkeypatch, capsys):
+def test_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
     def fail(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    doc = tmp_path / "cycle.json"
+    doc.write_text(dumps(cycle(5, 0)))
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    code, out, err = run(capsys, "spectrum", "--family", "cycle:n=5")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("signet: numerical failure: ")
-    assert "Traceback" not in err
+    # A file is solved densely; the line graph of a non-regular family
+    # solves its Laplacian.
+    for argv in (["--file", str(doc)], ["--family", "path:n=6", "--line"]):
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("signet: numerical failure: ")
+        assert "Traceback" not in err
 
 
 def test_csv_output(capsys):

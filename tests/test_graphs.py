@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,14 @@ def test_malformed_edge_is_named():
     for edge in ((0.5, 1, 1), (0, "1", 1), (0, 1, 1.0), (0, 1), (0, 1, 1, 1), None, (0, None, 1)):
         with pytest.raises(ValueError, match="malformed edge"):
             SignedGraph(3, ((1, 2, 1), edge))
+
+
+def test_constructor_keeps_canonical_tuples_and_converts_the_rest():
+    kept = (0, 1, -1)
+    g = SignedGraph(4, (kept, [1, 2, 1], (np.int64(2), 3, True)))
+    assert g.edges == ((0, 1, -1), (1, 2, 1), (2, 3, 1))
+    assert g.edges[0] is kept
+    assert all(type(e) is tuple and all(type(x) is int for x in e) for e in g.edges)
 
 
 def test_empty_graph_is_allowed():
@@ -311,3 +320,19 @@ def test_json_reader_rejects_bad_documents():
     ):
         with pytest.raises(ValueError):
             from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [0, 1, True],  # bool sign
+        [False, 1, 1],  # bool endpoint
+        [0, 1.0, 1],  # float
+        [0, "1", 1],  # string
+        [0, [1], 1],  # nested list
+        [[0, 1, 1], 1, 1],
+    ],
+)
+def test_json_reader_rejects_non_integer_edge_entries(entry):
+    with pytest.raises(ValueError, match=r"^edge entries must be integers, got " + re.escape(repr(entry)) + "$"):
+        from_json_dict({"n": 3, "edges": [[0, 2, 1], entry]})

@@ -1,0 +1,154 @@
+"""Structured spectra (closed-form leaves, Cartesian sums, line-graph rules)
+against the dense route on the built graph."""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import TEST_SEED
+
+from signet.cli import _report, main
+from signet.families import build_family, parse_family, random_signed_graph
+from signet.graphs import SignedGraph, balance_report, degrees
+from signet.linegraph import line_graph
+from signet.products import cartesian
+from signet.structured import (
+    adjacency_values,
+    cartesian_node,
+    dense_node,
+    line_balance,
+    spectral_node,
+)
+
+MAX_ORDER = 8  # leaves and product factors of orders 1..8 (cycles 3..8)
+ALL_R_FACTOR = 5  # product factors up to this order take every r; larger ones r = 0, 1
+
+
+def _family_strings():
+    out = [f"path:n={n},r={r}" for n in range(1, MAX_ORDER + 1) for r in range(n)]
+    out += [f"cycle:n={n},r={r}" for n in range(3, MAX_ORDER + 1) for r in range(n + 1)]
+    out += [f"complete:n={n},sign={s}" for n in range(1, MAX_ORDER + 1) for s in "+-"]
+
+    def rs(n, top):  # negative edge counts of an order-n factor, at most top
+        return range(top + 1) if n <= ALL_R_FACTOR else range(min(top, 1) + 1)
+
+    paths = [(n, r) for n in range(1, MAX_ORDER + 1) for r in rs(n, n - 1)]
+    cycles = [(n, r) for n in range(3, MAX_ORDER + 1) for r in rs(n, n)]
+    for kind, first, second in (("grid", paths, paths), ("cylinder", cycles, paths), ("torus", cycles, cycles)):
+        out += [f"{kind}:m={m},r1={r1},n={n},r2={r2}" for m, r1 in first for n, r2 in second]
+    return out
+
+
+FAMILIES = _family_strings()
+
+
+def _assert_reports_agree(got: dict, want: dict, n: int, label: str):
+    assert got["balance"] == want["balance"], label
+    for key in ("spectrum", "laplacian_spectrum"):
+        a, b = np.asarray(got[key]), np.asarray(want[key])
+        assert a.shape == b.shape, label
+        assert np.all(np.diff(a) >= 0), f"{label}: {key} not ascending"
+        scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-9 * scale, f"{label}: {key}"
+    for key in ("energy", "laplacian_energy"):
+        assert abs(got[key] - want[key]) <= 1e-9 * max(n, 1), f"{label}: {key}"
+
+
+def test_structured_reports_equal_dense_reports_of_built_graphs():
+    for text in FAMILIES:
+        spec = parse_family(text)
+        g = build_family(spec)
+        for line in (False, True):
+            label = f"{text} line={line}"
+            built = line_graph(g).graph if line else g
+            node, ref = spectral_node(spec, line), dense_node(built)
+            assert (node.n, node.m, node.max_degree, node.regular) == (
+                ref.n, ref.m, ref.max_degree, ref.regular,
+            ), label
+            _assert_reports_agree(_report(node), _report(ref), built.n, label)
+            csv = adjacency_values(spec, line)
+            assert np.max(np.abs(csv - ref.adjacency), initial=0.0) <= 1e-9 * max(
+                1.0, float(np.abs(ref.adjacency).max(initial=0.0))
+            ), label
+
+
+def test_family_csv_prints_the_structured_spectrum(capsys):
+    for text, line in (("grid:m=3,r1=1,n=4,r2=2", False), ("cylinder:m=4,r1=1,n=3,r2=0", True)):
+        code = main(["spectrum", "--family", text, "--csv"] + (["--line"] if line else []))
+        out = capsys.readouterr().out
+        assert code == 0
+        want = adjacency_values(parse_family(text), line)
+        assert out.splitlines() == ["%.12g" % v for v in want]
+
+
+def _component_data(g: SignedGraph):
+    """(edge count, balanced, bipartite, maximum degree) per component."""
+    deg = degrees(g)
+    out = []
+    for comp in balance_report(g).components:
+        index = {v: i for i, v in enumerate(comp.vertices)}
+        edges = tuple((index[u], index[v], s) for u, v, s in g.edges if u in index)
+        sub = SignedGraph(len(index), edges)
+        out.append((sub.m, comp.balanced, balance_report(sub).c_b == 1, int(deg[list(comp.vertices)].max())))
+    return out
+
+
+def test_line_balance_law_on_corpus(corpus):
+    for i, g in enumerate(corpus):
+        rep = balance_report(line_graph(g).graph)
+        assert line_balance(_component_data(g)) == (rep.b, rep.c, rep.c_b), f"graph {i}: {g}"
+
+
+def test_cartesian_rule_on_random_factor_pairs():
+    # Factors with several components, isolated vertices and no edges at all.
+    rng = np.random.default_rng(TEST_SEED + 50)
+    for _ in range(60):
+        f = random_signed_graph(rng, int(rng.integers(1, 6)), float(rng.choice([0.2, 0.5, 0.8])))
+        h = random_signed_graph(rng, int(rng.integers(1, 6)), float(rng.choice([0.2, 0.5, 0.8])))
+        got = cartesian_node(dense_node(f), dense_node(h))
+        want = dense_node(cartesian([f, h]))
+        label = f"{f} x {h}"
+        assert (got.n, got.m, got.b, got.c, got.c_b, got.max_degree, got.regular) == (
+            want.n, want.m, want.b, want.c, want.c_b, want.max_degree, want.regular,
+        ), label
+        assert np.allclose(got.adjacency, want.adjacency, rtol=0, atol=1e-9), label
+        assert np.allclose(got.laplacian, want.laplacian, rtol=0, atol=1e-9), label
+
+
+def test_large_torus_answers_without_building(capsys):
+    code = main(["spectrum", "--family", "torus:m=300,r1=1,n=300,r2=0"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    adj, lap = np.asarray(report["spectrum"]), np.asarray(report["laplacian_spectrum"])
+    n, m = 90_000, 180_000
+    assert adj.size == lap.size == n
+    assert abs(adj.sum()) <= 1e-9 * n  # tr A = 0
+    assert abs((adj**2).sum() - 2 * m) <= 1e-9 * n  # ||A||_F^2 = 2m
+    assert abs(lap.sum() - 2 * m) <= 1e-9 * n  # tr L = 2m
+    assert report["balance"] == {"b": 0, "c": 1, "c_b": 1, "balanced": False}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("path:n=0", "path needs n >= 1"),
+        ("cycle:n=2", "cycle needs n >= 3"),
+        ("cycle:n=5,r=6", "negative edge count r=6 out of range 0..5"),
+        ("complete:n=0", "complete graph needs n >= 1"),
+        ("path:n=3,x=1", "family 'path' does not take key 'x'"),
+        ("grid:m=2,n=0", "path needs n >= 1"),
+        ("grid:n=3", "family 'grid' is missing key 'm'"),
+        ("torus:m=3,r1=4,n=2", "negative edge count r=4 out of range 0..3"),
+    ],
+)
+def test_invalid_family_strings_exit_two(capsys, text, message):
+    # The built route (`line`) and the structured route give the same message.
+    for argv in (["spectrum"], ["spectrum", "--line"], ["spectrum", "--csv"], ["line"]):
+        code = main(argv + ["--family", text])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err == f"signet: {message}\n", argv
