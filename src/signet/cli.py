@@ -10,8 +10,8 @@ verify     randomised/exhaustive property suites
 Graphs come from ``--family kind:key=val,...`` strings or ``--file`` JSON
 documents of the form ``{"n": int, "edges": [[u, v, sign], ...]}``.
 
-Exit codes: 0 success, 1 verification failures, 2 bad input, 3 numerical
-failure.
+Exit codes: 0 success, 1 verification failures, 2 bad input or out of
+memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -236,6 +236,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"signet: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"signet: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

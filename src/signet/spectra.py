@@ -81,16 +81,9 @@ def energy_from_spectrum(spectrum: Spectrum | Iterable[float]) -> float:
     return float(sum(abs(v) for v in spectrum))
 
 
-def _laplacian_energy(spectrum: Spectrum | Iterable[float], d_bar: float) -> float:
+def laplacian_energy_from_spectrum(spectrum: Spectrum | Iterable[float], d_bar: float) -> float:
     """Sum of |mu - d_bar| over a Laplacian spectrum, d_bar the average degree."""
     return float(sum(abs(v - d_bar) for v in spectrum))
-
-
-def laplacian_energy_from_spectrum(spectrum: Spectrum | Iterable[float], g: SignedGraph) -> float:
-    """Sum of |mu - average degree of g| over a Laplacian spectrum of g."""
-    if g.n == 0:
-        return 0.0
-    return _laplacian_energy(spectrum, 2.0 * g.m / g.n)
 
 
 def energy(g: SignedGraph) -> float:
@@ -100,7 +93,8 @@ def energy(g: SignedGraph) -> float:
 
 def laplacian_energy(g: SignedGraph) -> float:
     """Sum of |mu - average degree| over Laplacian eigenvalues mu."""
-    return laplacian_energy_from_spectrum(laplacian_spectrum(g), g)
+    d_bar = 2.0 * g.m / g.n if g.n else 0.0
+    return laplacian_energy_from_spectrum(laplacian_spectrum(g), d_bar)
 
 
 def multiplicity_of(spectrum: Spectrum | Iterable[float], x: float, tol: float | None = None) -> int:

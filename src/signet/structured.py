@@ -65,7 +65,7 @@ class SpectralNode:
     @property
     def laplacian_energy(self) -> float:
         d_bar = 2.0 * self.m / self.n if self.n else 0.0
-        return spectra._laplacian_energy(self.laplacian.tolist(), d_bar)
+        return spectra.laplacian_energy_from_spectrum(self.laplacian.tolist(), d_bar)
 
 
 def leaf_node(kind: str, n: int, x: int) -> SpectralNode:

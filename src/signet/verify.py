@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formulas
-from .families import complete, cycle, path, random_signed_graph
+from .families import build_family, cycle, parse_family, random_signed_graph
 from .graphs import (
     SignedGraph,
     adjacency,
@@ -26,6 +26,7 @@ from .linegraph import line_graph
 from .oracle import rank_exact
 from .products import Basis, cartesian, kron_sum_over_basis, neps, strong_basis
 from .spectra import adjacency_spectrum, energy, laplacian_energy, laplacian_spectrum
+from .structured import family_node, line_node
 
 __all__ = ["SuiteResult", "SUITES", "run_suite"]
 
@@ -186,90 +187,60 @@ def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 6
     return result
 
 
-def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED, count: int = 0) -> SuiteResult:
-    """Every closed-form spectrum matches the dense solver within 1e-8."""
-    result = SuiteResult("closed-forms")
-    tol = 1e-8
-
-    def check(label, formula_vals, graph, laplacian_side=False):
-        spec = laplacian_spectrum(graph) if laplacian_side else adjacency_spectrum(graph)
-        result.record(
-            _multiset_close(formula_vals, spec.values, tol), f"{label}: formula != solver"
-        )
-
+def _closed_form_cases(max_n: int):
+    """The closed-forms cases as (family string, check the graph, check its
+    line graph, check the line graph's Laplacian where the base is regular)."""
     for n in range(1, max_n + 1):
         for r in range(n):
-            g = path(n, r)
-            check(f"path({n},{r}) adjacency", formulas.path_spectrum(n), g)
-            check(f"path({n},{r}) laplacian", formulas.path_laplacian_spectrum(n), g, True)
+            yield f"path:n={n},r={r}", True, False, False
     for n in range(3, max_n + 1):
         for r in range(n + 1):
-            g = cycle(n, r)
-            check(f"cycle({n},{r}) adjacency", formulas.cycle_spectrum(n, r), g)
-            check(f"cycle({n},{r}) laplacian", formulas.cycle_laplacian_spectrum(n, r), g, True)
-            lg = line_graph(g).graph
-            reg = formulas.line_spectrum_regular(
-                formulas.cycle_spectrum(n, r), 2, n, n,
-                1 - formulas.parity(r), 1 - formulas.parity(n - r),
-            )
-            check(f"line(cycle({n},{r}))", reg.adjacency, lg)
+            yield f"cycle:n={n},r={r}", True, True, False
     for m in range(1, max_n + 1):
         for n in range(1, max_n + 1):
-            cf = formulas.grid_spectra(m, n)
             for r1, r2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                if r1 > m - 1 or r2 > n - 1:
-                    continue
-                g = _grid(m, r1, n, r2)
-                check(f"grid({m},{n}) r=({r1},{r2}) adjacency", cf.adjacency, g)
-                check(f"grid({m},{n}) r=({r1},{r2}) laplacian", cf.laplacian, g, True)
-            lf = formulas.grid_line_spectra(m, n)
-            check(f"line(grid({m},{n}))", lf.values, line_graph(_grid(m, 0, n, 0)).graph)
+                if r1 < m and r2 < n:
+                    yield f"grid:m={m},r1={r1},n={n},r2={r2}", True, r1 == r2 == 0, True
     for m in range(3, max_n + 1):
         for n in range(1, max_n + 1):
             for r1 in (0, 1):
-                cf = formulas.cylinder_spectra(m, r1, n)
-                g = _cylinder(m, r1, n, 0)
-                check(f"cylinder({m},{r1},{n}) adjacency", cf.adjacency, g)
-                check(f"cylinder({m},{r1},{n}) laplacian", cf.laplacian, g, True)
-                lf = formulas.cylinder_line_spectra(m, r1, n)
-                check(f"line(cylinder({m},{r1},{n}))", lf.values, line_graph(g).graph)
+                yield f"cylinder:m={m},r1={r1},n={n}", True, True, True
     for m in range(3, max_n + 1):
         for n in range(3, max_n + 1):
-            for r1 in (0, 1):
-                for r2 in (0, 1):
-                    cf = formulas.torus_spectra(m, r1, n, r2)
-                    g = _torus(m, r1, n, r2)
-                    check(f"torus({m},{r1},{n},{r2}) adjacency", cf.adjacency, g)
-                    check(f"torus({m},{r1},{n},{r2}) laplacian", cf.laplacian, g, True)
-                    lf = formulas.torus_line_spectra(m, r1, n, r2)
-                    lg = line_graph(g).graph
-                    check(f"line(torus({m},{r1},{n},{r2}))", lf.adjacency, lg)
-                    check(f"line(torus({m},{r1},{n},{r2})) laplacian", lf.laplacian, lg, True)
+            for r1, r2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                yield f"torus:m={m},r1={r1},n={n},r2={r2}", True, True, True
     for n in range(1, max_n + 1):
-        for sign in (1, -1):
-            hl = formulas.complete_line_spectra(n, sign)
-            lg = line_graph(complete(n, sign)).graph
-            check(f"line({'+' if sign > 0 else '-'}K_{n})", hl.values, lg)
-            if hl.laplacian_values is not None:
-                check(
-                    f"line({'+' if sign > 0 else '-'}K_{n}) laplacian",
-                    hl.laplacian_values,
-                    lg,
-                    True,
-                )
+        for sign in "+-":
+            yield f"complete:n={n},sign={sign}", False, True, True
+
+
+def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED, count: int = 0) -> SuiteResult:
+    """The structured family nodes that ``spectrum --family`` answers with,
+    and their line-graph rules, match the dense solver within 1e-8."""
+    result = SuiteResult("closed-forms")
+
+    def check(label, node_values, spectrum):
+        result.record(_multiset_close(node_values, spectrum.values), f"{label}: node != solver")
+
+    for text, plain, line, line_laplacian in _closed_form_cases(max_n):
+        spec = parse_family(text)
+        node = family_node(spec)
+        g = build_family(spec)
+        if plain:
+            check(f"{text} adjacency", node.adjacency, adjacency_spectrum(g))
+            check(f"{text} laplacian", node.laplacian, laplacian_spectrum(g))
+        if line:
+            lg = line_graph(g).graph
+            try:
+                values = formulas.line_spectrum_general(node.laplacian, node.m, node.n, node.b)
+                check(f"line({text}) adjacency", values, adjacency_spectrum(lg))
+                # Only over a regular base does the rule give the line Laplacian;
+                # otherwise the CLI solves it densely, which is no check.
+                if line_laplacian and node.regular is not None:
+                    check(f"line({text}) laplacian", line_node(node, lambda: lg).laplacian, laplacian_spectrum(lg))
+            except ValueError as exc:
+                result.record(False, f"line({text}): the line rule refuses the node: {exc}")
     return result
-
-
-def _grid(m, r1, n, r2):
-    return cartesian([path(m, r1), path(n, r2)])
-
-
-def _cylinder(m, r1, n, r2):
-    return cartesian([cycle(m, r1), path(n, r2)])
-
-
-def _torus(m, r1, n, r2):
-    return cartesian([cycle(m, r1), cycle(n, r2)])
 
 
 def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 150) -> SuiteResult:
@@ -285,13 +256,14 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 1
         )
         result.record(identity_ok, f"graph {i}: A(line) != 2I - H^T H")
         rep = balance_report(g)
-        lap = sorted(laplacian_spectrum(g).values)
-        expected = [2.0 - v for v in lap[rep.b :]] + [2.0] * (g.m - g.n + rep.b)
         got = adjacency_spectrum(lg).values
-        result.record(
-            _multiset_close(expected, got),
-            f"graph {i}: line spectrum does not match the Laplacian construction",
-        )
+        try:
+            expected = formulas.line_spectrum_general(laplacian_spectrum(g).values, g.m, g.n, rep.b)
+            matched = _multiset_close(expected, got)
+            problem = "" if matched else "line spectrum does not match the Laplacian construction"
+        except ValueError as exc:
+            problem = f"the line rule refuses the graph: {exc}"
+        result.record(not problem, f"graph {i}: {problem}")
         result.record(
             all(v <= 2.0 + 1e-8 for v in got), f"graph {i}: eigenvalue above 2"
         )

@@ -18,13 +18,11 @@ import numpy as np
 
 from conftest import TEST_SEED
 
-from signet import formulas
 from signet.families import (
+    build_family,
     complete,
     cycle,
-    cylinder,
-    grid,
-    path,
+    parse_family,
     random_signed_graph,
     torus,
 )
@@ -46,6 +44,7 @@ from signet.spectra import (
     laplacian_spectrum,
     multiplicity_of,
 )
+from signet.structured import spectral_node
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -157,101 +156,49 @@ def test_criterion_05_closed_form_sweep():
     failures: list[str] = []
     tol = 1e-8
 
-    def check(label, formula_vals, spectrum_vals):
-        if not _close(formula_vals, spectrum_vals, tol):
+    def check(label, node_vals, spectrum_vals):
+        if not _close(node_vals, spectrum_vals, tol):
             failures.append(label)
+
+    def sweep(text, plain=True, line=False, line_laplacian=False):
+        # The structured nodes `spectrum --family` answers with, against
+        # the dense solve of the built graph and of its line graph.
+        spec = parse_family(text)
+        g = build_family(spec)
+        if plain:
+            node = spectral_node(spec)
+            check(text, node.adjacency, adjacency_spectrum(g).values)
+            check(f"{text} laplacian", node.laplacian, laplacian_spectrum(g).values)
+        if line:
+            node, lg = spectral_node(spec, line=True), line_graph(g).graph
+            check(f"line({text})", node.adjacency, adjacency_spectrum(lg).values)
+            if line_laplacian:
+                check(f"line({text}) laplacian", node.laplacian, laplacian_spectrum(lg).values)
 
     for n in range(1, 9):
         for r in range(n):
-            g = path(n, r)
-            check(f"path({n},{r})", formulas.path_spectrum(n), adjacency_spectrum(g).values)
-            check(
-                f"path({n},{r}) laplacian",
-                formulas.path_laplacian_spectrum(n),
-                laplacian_spectrum(g).values,
-            )
+            sweep(f"path:n={n},r={r}")
     for n in range(3, 9):
         for r in range(n + 1):
-            g = cycle(n, r)
-            check(f"cycle({n},{r})", formulas.cycle_spectrum(n, r), adjacency_spectrum(g).values)
-            check(
-                f"cycle({n},{r}) laplacian",
-                formulas.cycle_laplacian_spectrum(n, r),
-                laplacian_spectrum(g).values,
-            )
+            sweep(f"cycle:n={n},r={r}")
     for m in range(1, 7):
         for n in range(1, 7):
-            cf = formulas.grid_spectra(m, n)
             for r1, r2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
                 if r1 > m - 1 or r2 > n - 1:
                     continue
-                g = grid(m, r1, n, r2)
-                check(f"grid({m},{r1},{n},{r2})", cf.adjacency, adjacency_spectrum(g).values)
-                check(
-                    f"grid({m},{r1},{n},{r2}) laplacian",
-                    cf.laplacian,
-                    laplacian_spectrum(g).values,
-                )
-            lf = formulas.grid_line_spectra(m, n)
-            check(
-                f"line(grid({m},{n}))",
-                lf.values,
-                adjacency_spectrum(line_graph(grid(m, 0, n, 0)).graph).values,
-            )
+                sweep(f"grid:m={m},r1={r1},n={n},r2={r2}", line=r1 == r2 == 0)
     for m in range(3, 7):
         for n in range(1, 7):
             for r1 in (0, 1):
-                cf = formulas.cylinder_spectra(m, r1, n)
-                g = cylinder(m, r1, n, 0)
-                check(f"cylinder({m},{r1},{n})", cf.adjacency, adjacency_spectrum(g).values)
-                check(
-                    f"cylinder({m},{r1},{n}) laplacian",
-                    cf.laplacian,
-                    laplacian_spectrum(g).values,
-                )
-                lf = formulas.cylinder_line_spectra(m, r1, n)
-                check(
-                    f"line(cylinder({m},{r1},{n}))",
-                    lf.values,
-                    adjacency_spectrum(line_graph(g).graph).values,
-                )
+                sweep(f"cylinder:m={m},r1={r1},n={n}", line=True)
     for m in range(3, 7):
         for n in range(3, 7):
             for r1 in (0, 1):
                 for r2 in (0, 1):
-                    cf = formulas.torus_spectra(m, r1, n, r2)
-                    g = torus(m, r1, n, r2)
-                    check(
-                        f"torus({m},{r1},{n},{r2})",
-                        cf.adjacency,
-                        adjacency_spectrum(g).values,
-                    )
-                    check(
-                        f"torus({m},{r1},{n},{r2}) laplacian",
-                        cf.laplacian,
-                        laplacian_spectrum(g).values,
-                    )
-                    lf = formulas.torus_line_spectra(m, r1, n, r2)
-                    lg = line_graph(g).graph
-                    check(
-                        f"line(torus({m},{r1},{n},{r2}))",
-                        lf.adjacency,
-                        adjacency_spectrum(lg).values,
-                    )
-                    check(
-                        f"line(torus({m},{r1},{n},{r2})) laplacian",
-                        lf.laplacian,
-                        laplacian_spectrum(lg).values,
-                    )
+                    sweep(f"torus:m={m},r1={r1},n={n},r2={r2}", line=True, line_laplacian=True)
     for n in range(1, 9):
-        for sign in (1, -1):
-            hl = formulas.complete_line_spectra(n, sign)
-            lg = line_graph(complete(n, sign)).graph
-            check(
-                f"line({'+' if sign > 0 else '-'}K_{n})",
-                hl.values,
-                adjacency_spectrum(lg).values,
-            )
+        for sign in "+-":
+            sweep(f"complete:n={n},sign={sign}", plain=False, line=True)
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 60.0
     assert _verdict(

@@ -94,6 +94,17 @@ def test_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
         assert "Traceback" not in err
 
 
+def test_out_of_memory_exits_two(monkeypatch, capsys):
+    def fail(factors, basis):
+        raise MemoryError("Unable to allocate 5.86 GiB for an array")
+
+    monkeypatch.setattr("signet.cli.neps", fail)
+    code, out, err = run(capsys, "product", "--family", "path:n=2", "--family", "path:n=2")
+    assert code == 2
+    assert out == ""
+    assert err == "signet: out of memory: Unable to allocate 5.86 GiB for an array\n"
+
+
 def test_csv_output(capsys):
     from signet.spectra import adjacency_spectrum
 
@@ -249,6 +260,41 @@ def test_verify_command_runs_suites(capsys):
     assert code == 0
     assert "closed-forms:" in out
     assert "0 failures" in out
+
+
+def test_closed_forms_suite_fails_on_a_wrong_cycle_form(monkeypatch, capsys):
+    right = formulas.cycle_spectrum
+
+    def shifted(n, r):
+        values = right(n, r)
+        values[0] += 1e-3
+        return values
+
+    monkeypatch.setattr(formulas, "cycle_spectrum", shifted)
+    code, out, _ = run(capsys, "verify", "closed-forms", "--max", "4")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("  FAIL ")]
+    assert fails and fails[0].startswith("  FAIL cycle:n=3,r=0 adjacency")
+
+
+@pytest.mark.parametrize(
+    "suite, fail",
+    [
+        ("line-theorems", "  FAIL graph 0: the line rule refuses the graph: "),
+        ("closed-forms", "  FAIL line(cycle:n=3,r=0): the line rule refuses the node: "),
+    ],
+)
+def test_suites_record_what_the_line_rule_refuses(monkeypatch, capsys, suite, fail):
+    # Both suites check formulas.line_spectrum_general, the rule behind
+    # `spectrum --line`; a refusal is a failed check, not bad input.
+    def refuse(lap_values, m, n, b):
+        raise ValueError("Laplacian zero multiplicity does not match b")
+
+    monkeypatch.setattr(formulas, "line_spectrum_general", refuse)
+    code, out, err = run(capsys, "verify", suite, "--max", "4")
+    assert code == 1
+    assert err == ""
+    assert fail + "Laplacian zero multiplicity does not match b" in out.splitlines()
 
 
 @pytest.mark.parametrize("suite", ["all", "closed-forms"])

@@ -1,4 +1,5 @@
-"""Closed-form spectra against the dense solver and against each other."""
+"""Closed forms, the line-graph rule and the structured family nodes built
+from them, against the dense solver and against each other."""
 
 from __future__ import annotations
 
@@ -8,15 +9,28 @@ import pytest
 from conftest import TEST_SEED, assert_multiset_close
 
 from signet import formulas
-from signet.families import complete, cycle, cylinder, grid, path, random_signed_graph, torus
+from signet.families import (
+    FamilySpec,
+    build_family,
+    complete,
+    cycle,
+    cylinder,
+    grid,
+    parse_family,
+    path,
+    random_signed_graph,
+    torus,
+)
 from signet.graphs import SignedGraph, balance_report, negate
 from signet.linegraph import line_graph
 from signet.spectra import (
     adjacency_spectrum,
     energy,
+    energy_from_spectrum,
     laplacian_energy,
     laplacian_spectrum,
 )
+from signet.structured import dense_node, spectral_node
 
 
 def test_parity_bracket():
@@ -67,41 +81,46 @@ def test_cycle_laplacian_zero_iff_even_signature():
             assert_multiset_close(adjacency_spectrum(g).values, formulas.cycle_spectrum(n, r))
 
 
-# --- two-dimensional grids --------------------------------------------------
+# --- two-dimensional grids (structured nodes) --------------------------------
+
+
+def _node(text: str, line: bool = False):
+    """The structured node `spectrum --family text [--line]` answers with."""
+    return spectral_node(parse_family(text), line)
 
 
 def test_grid_formula_values_and_energies():
-    cf = formulas.grid_spectra(2, 2)
-    assert_multiset_close(cf.adjacency, [2.0, 0.0, 0.0, -2.0])
-    assert cf.average_degree == pytest.approx(2.0)
+    node = _node("grid:m=2,n=2")
+    assert_multiset_close(node.adjacency, [2.0, 0.0, 0.0, -2.0])
+    assert 2.0 * node.m / node.n == pytest.approx(2.0)
     for m, n in ((1, 1), (2, 3), (4, 4), (5, 2)):
-        cf = formulas.grid_spectra(m, n)
+        node = _node(f"grid:m={m},n={n}")
         for r1 in range(m):
             for r2 in range(n):
                 g = grid(m, r1, n, r2)
-                assert_multiset_close(adjacency_spectrum(g).values, cf.adjacency)
-                assert_multiset_close(laplacian_spectrum(g).values, cf.laplacian)
-                assert energy(g) == pytest.approx(cf.energy, abs=1e-7)
+                assert_multiset_close(adjacency_spectrum(g).values, node.adjacency)
+                assert_multiset_close(laplacian_spectrum(g).values, node.laplacian)
+                assert energy(g) == pytest.approx(node.energy, abs=1e-7)
                 assert laplacian_energy(g) == pytest.approx(
-                    cf.laplacian_energy, abs=1e-7
+                    node.laplacian_energy, abs=1e-7
                 )
-        assert cf.average_degree == pytest.approx(4.0 - 2.0 / m - 2.0 / n)
+        assert 2.0 * node.m / node.n == pytest.approx(4.0 - 2.0 / m - 2.0 / n)
 
 
 def test_cylinder_formula_matches_solver():
     for m in range(3, 7):
         for n in range(1, 6):
             for r1 in (0, 1):
-                cf = formulas.cylinder_spectra(m, r1, n)
+                node = _node(f"cylinder:m={m},r1={r1},n={n}")
                 for r2 in (0, 1):
                     if r2 > n - 1:
                         continue
                     g = cylinder(m, r1, n, r2)
-                    assert_multiset_close(adjacency_spectrum(g).values, cf.adjacency)
-                    assert_multiset_close(laplacian_spectrum(g).values, cf.laplacian)
-                    assert energy(g) == pytest.approx(cf.energy, abs=1e-7)
+                    assert_multiset_close(adjacency_spectrum(g).values, node.adjacency)
+                    assert_multiset_close(laplacian_spectrum(g).values, node.laplacian)
+                    assert energy(g) == pytest.approx(node.energy, abs=1e-7)
                     assert laplacian_energy(g) == pytest.approx(
-                        cf.laplacian_energy, abs=1e-7
+                        node.laplacian_energy, abs=1e-7
                     )
 
 
@@ -110,13 +129,13 @@ def test_torus_formula_and_regular_energy_identity():
         for n in (3, 5):
             for r1 in (0, 1):
                 for r2 in (0, 1):
-                    cf = formulas.torus_spectra(m, r1, n, r2)
+                    node = _node(f"torus:m={m},r1={r1},n={n},r2={r2}")
                     g = torus(m, r1, n, r2)
-                    assert_multiset_close(adjacency_spectrum(g).values, cf.adjacency)
-                    assert_multiset_close(laplacian_spectrum(g).values, cf.laplacian)
-                    assert cf.energy == pytest.approx(cf.laplacian_energy, abs=1e-10)
-                    assert energy(g) == pytest.approx(cf.energy, abs=1e-7)
-                    zero = any(abs(v) <= 1e-9 for v in cf.laplacian)
+                    assert_multiset_close(adjacency_spectrum(g).values, node.adjacency)
+                    assert_multiset_close(laplacian_spectrum(g).values, node.laplacian)
+                    assert node.energy == pytest.approx(node.laplacian_energy, abs=1e-10)
+                    assert energy(g) == pytest.approx(node.energy, abs=1e-7)
+                    zero = any(abs(v) <= 1e-9 for v in node.laplacian)
                     assert zero == (r1 % 2 == 0 and r2 % 2 == 0)
 
 
@@ -143,7 +162,7 @@ def test_line_spectrum_general_random_graphs():
         got = formulas.line_spectrum_general(lap, g.m, g.n, rep.b)
         want = adjacency_spectrum(line_graph(g).graph).values
         assert_multiset_close(got, want, tol=1e-7)
-        assert formulas.line_energy_general(lap, g.m, g.n, rep.b) == pytest.approx(
+        assert energy_from_spectrum(got) == pytest.approx(
             energy(line_graph(g).graph), abs=1e-7
         )
 
@@ -169,16 +188,12 @@ def test_line_of_positive_complete_via_general_transform():
         assert_multiset_close(got, solver, tol=1e-7)
 
 
-# --- regular line-graph transform -------------------------------------------
+# --- line graph over a regular base (structured nodes) ----------------------
 
 
 def test_regular_transform_on_complete_graphs():
     for n in range(3, 8):
-        m = n * (n - 1) // 2
-        k = n - 1
-        plus = formulas.line_spectrum_regular(
-            [-1.0] * (n - 1) + [float(k)], k, m, n, 1, 0
-        )
+        plus = _node(f"complete:n={n},sign=+", True)
         assert_multiset_close(
             plus.adjacency,
             [2.0 - n] * (n - 1) + [2.0] * ((n - 1) * (n - 2) // 2),
@@ -195,9 +210,7 @@ def test_regular_transform_on_complete_graphs():
 
         # -K_n itself is unbalanced for n >= 3 but its negation +K_n is
         # balanced, so -k appears once in the spectrum
-        minus = formulas.line_spectrum_regular(
-            [-float(k)] + [1.0] * (n - 1), k, m, n, 0, 1
-        )
+        minus = _node(f"complete:n={n},sign=-", True)
         expected = (
             [-2.0 * (n - 2)] + [4.0 - n] * (n - 1) + [2.0] * (n * (n - 3) // 2)
         )
@@ -207,62 +220,47 @@ def test_regular_transform_on_complete_graphs():
         assert minus.energy == pytest.approx(energy(lgm), abs=1e-7)
 
 
-def test_regular_transform_validation():
-    with pytest.raises(ValueError):
-        formulas.line_spectrum_regular([0.0, 0.0], 2, 2, 2, 1, 0)  # b_plus wrong
-    with pytest.raises(ValueError):
-        formulas.line_spectrum_regular([3.0, -3.0], 2, 2, 2, 1, 1)  # out of range
-
-
 def test_regular_transform_energy_equals_laplacian_energy():
     # 2-regular instance: the line graph of a signed cycle is a signed
     # cycle, where E = E_L holds on both sides.
     for n in (4, 5, 6, 7):
         for r in range(3):
-            spec = formulas.cycle_spectrum(n, r)
-            res = formulas.line_spectrum_regular(
-                spec, 2, n, n, 1 - r % 2, 1 - (n - r) % 2
-            )
+            res = _node(f"cycle:n={n},r={r}", True)
             lg = line_graph(cycle(n, r)).graph
             assert res.energy == pytest.approx(energy(lg), abs=1e-7)
             assert res.energy == pytest.approx(laplacian_energy(lg), abs=1e-7)
+            assert res.laplacian_energy == pytest.approx(laplacian_energy(lg), abs=1e-7)
 
 
-# --- Cartesian line-graph transform -----------------------------------------
+# --- line graphs of Cartesian products (structured nodes) -------------------
 
 
 def test_cartesian_line_transform_on_grids():
     for m, n in ((2, 2), (3, 4), (5, 5), (1, 5), (6, 2)):
-        res = formulas.grid_line_spectra(m, n)
+        res = _node(f"grid:m={m},n={n}", True)
         lg = line_graph(grid(m, 0, n, 0)).graph
-        assert_multiset_close(res.values, adjacency_spectrum(lg).values, tol=1e-7)
+        assert_multiset_close(res.adjacency, adjacency_spectrum(lg).values, tol=1e-7)
         assert res.energy == pytest.approx(energy(lg), abs=1e-7)
     # the 2 x 2 case closes the loop: the grid is C_4, its line graph is
     # C_4 again, so the energy must come back to 4
-    assert formulas.grid_line_spectra(2, 2).energy == pytest.approx(4.0, abs=1e-9)
+    assert _node("grid:m=2,n=2", True).energy == pytest.approx(4.0, abs=1e-9)
 
 
 def test_cartesian_line_transform_on_cylinders():
     for m in (3, 4, 5):
         for n in (1, 2, 4):
             for r1 in (0, 1):
-                res = formulas.cylinder_line_spectra(m, r1, n)
+                res = _node(f"cylinder:m={m},r1={r1},n={n}", True)
                 lg = line_graph(cylinder(m, r1, n, 0)).graph
                 assert_multiset_close(
-                    res.values, adjacency_spectrum(lg).values, tol=1e-7
+                    res.adjacency, adjacency_spectrum(lg).values, tol=1e-7
                 )
                 assert res.energy == pytest.approx(energy(lg), abs=1e-7)
 
 
-def test_cartesian_line_transform_rejects_wrong_balance_count():
-    laps = [formulas.cycle_laplacian_spectrum(4, 1), formulas.path_laplacian_spectrum(2)]
-    with pytest.raises(ValueError):
-        formulas.line_spectrum_cartesian(laps, (1, 1), 3.0, 8)
-
-
 def test_torus_line_spectra():
     for m, r1, n, r2 in ((3, 0, 3, 0), (3, 1, 3, 0), (4, 1, 3, 1), (4, 0, 5, 1)):
-        res = formulas.torus_line_spectra(m, r1, n, r2)
+        res = _node(f"torus:m={m},r1={r1},n={n},r2={r2}", True)
         lg = line_graph(torus(m, r1, n, r2)).graph
         assert lg.n == 2 * m * n
         assert_multiset_close(res.adjacency, adjacency_spectrum(lg).values, tol=1e-7)
@@ -274,44 +272,45 @@ def test_torus_line_spectra():
         assert sum(1 for v in res.laplacian if abs(v - 4.0) <= 1e-9) >= m * n
 
 
-# --- homogeneous signatures -------------------------------------------------
+# --- homogeneous signatures (structured nodes) ------------------------------
 
 
 def test_homogeneous_line_spectra_on_complete_graphs():
     for n in range(3, 8):
         m = n * (n - 1) // 2
-        plus = formulas.complete_line_spectra(n, 1)
+        k = 2 * (n - 2)  # the common degree of line(K_n)
+        plus = _node(f"complete:n={n},sign=+", True)
         assert plus.energy == pytest.approx(2.0 * (n - 1) * (n - 2), abs=1e-9)
         lg = line_graph(complete(n, 1)).graph
-        assert_multiset_close(plus.values, adjacency_spectrum(lg).values, tol=1e-7)
-        assert_multiset_close(
-            plus.laplacian_values, laplacian_spectrum(lg).values, tol=1e-7
-        )
+        assert_multiset_close(plus.adjacency, adjacency_spectrum(lg).values, tol=1e-7)
+        assert_multiset_close(plus.laplacian, laplacian_spectrum(lg).values, tol=1e-7)
 
-        minus = formulas.complete_line_spectra(n, -1)
+        minus = _node(f"complete:n={n},sign=-", True)
         expected_energy = 2.0 * (n - 2) + (n - 1) * abs(n - 4) + n * (n - 3)
         assert minus.energy == pytest.approx(expected_energy, abs=1e-9)
         lgm = line_graph(complete(n, -1)).graph
-        assert_multiset_close(minus.values, adjacency_spectrum(lgm).values, tol=1e-7)
+        assert_multiset_close(minus.adjacency, adjacency_spectrum(lgm).values, tol=1e-7)
 
-        # unsigned line graph of K_n: spectrum is the negative of the
-        # all-negative case: 2(n-2) once, n-4 with multiplicity n-1,
-        # -2 with multiplicity m-n; its Laplacian puts 0 once, n with
-        # multiplicity n-1 and 2n-2 with multiplicity m-n.
+        # unsigned line graph of K_n, the negation of line(-K_n): spectrum
+        # 2(n-2) once, n-4 with multiplicity n-1, -2 with multiplicity m-n;
+        # its Laplacian k + lambda puts 0 once, n with multiplicity n-1 and
+        # 2n-2 with multiplicity m-n.
         unsigned = negate(lgm)
+        unsigned_values = -minus.adjacency
+        unsigned_laplacian = k + minus.adjacency
         assert_multiset_close(
-            minus.unsigned_values, adjacency_spectrum(unsigned).values, tol=1e-7
+            unsigned_values, adjacency_spectrum(unsigned).values, tol=1e-7
         )
         expected_unsigned = (
             [2.0 * (n - 2)] + [float(n - 4)] * (n - 1) + [-2.0] * (m - n)
         )
-        assert_multiset_close(minus.unsigned_values, expected_unsigned)
+        assert_multiset_close(unsigned_values, expected_unsigned)
         assert_multiset_close(
-            minus.unsigned_laplacian_values,
+            unsigned_laplacian,
             [0.0] + [float(n)] * (n - 1) + [2.0 * n - 2.0] * (m - n),
         )
         assert_multiset_close(
-            minus.unsigned_laplacian_values,
+            unsigned_laplacian,
             laplacian_spectrum(unsigned).values,
             tol=1e-7,
         )
@@ -319,27 +318,117 @@ def test_homogeneous_line_spectra_on_complete_graphs():
 
 def test_homogeneous_line_spectra_on_a_cycle():
     g = cycle(5, 0)
-    lap = sorted(laplacian_spectrum(g).values)
-    res = formulas.homogeneous_line_spectra(g, 1, lap)
+    res = _node("cycle:n=5,r=0", True)
     lg = line_graph(g).graph
-    assert_multiset_close(res.values, adjacency_spectrum(lg).values, tol=1e-7)
+    assert_multiset_close(res.adjacency, adjacency_spectrum(lg).values, tol=1e-7)
     assert res.energy == pytest.approx(energy(lg), abs=1e-7)
-    assert_multiset_close(
-        res.laplacian_values, laplacian_spectrum(lg).values, tol=1e-7
-    )
+    assert_multiset_close(res.laplacian, laplacian_spectrum(lg).values, tol=1e-7)
 
-    neg = formulas.homogeneous_line_spectra(g, -1, sorted(
-        laplacian_spectrum(negate(g)).values
-    ))
+    neg = _node("cycle:n=5,r=5", True)  # negate(cycle(5, 0))
     lgn = line_graph(negate(g)).graph
-    assert_multiset_close(neg.values, adjacency_spectrum(lgn).values, tol=1e-7)
+    assert_multiset_close(neg.adjacency, adjacency_spectrum(lgn).values, tol=1e-7)
     assert_multiset_close(
-        neg.unsigned_values, adjacency_spectrum(negate(lgn)).values, tol=1e-7
+        -neg.adjacency, adjacency_spectrum(negate(lgn)).values, tol=1e-7
     )
 
 
 def test_complete_line_spectra_input_validation():
     with pytest.raises(ValueError):
-        formulas.complete_line_spectra(0, 1)
+        spectral_node(parse_family("complete:n=0,sign=+"), line=True)
     with pytest.raises(ValueError):
-        formulas.complete_line_spectra(4, 0)
+        spectral_node(FamilySpec("complete", {"n": 4, "sign": 0}), line=True)
+
+
+# --- the paper's displays, as corrected (README, "Verification findings") ---
+
+
+def _cosines(count: int, step: float) -> np.ndarray:
+    """cos(i * step) for i = 1..count."""
+    return np.cos(np.arange(1, count + 1) * step)
+
+
+def _cycle_cosines(m: int, r: int) -> np.ndarray:
+    """cos((2i - [r]) pi / m) for i = 1..m, the signed cycle C(m, r)."""
+    return np.cos((2 * np.arange(1, m + 1) - r % 2) * np.pi / m)
+
+
+def _cylinder_display(m, r1, n):
+    # The path factor's cosine index is j, not 2j.
+    cyc = _cycle_cosines(m, r1)[:, None]
+    return {
+        "adjacency": 2 * (cyc + _cosines(n, np.pi / (n + 1))[None, :]),
+        "laplacian": 2 * (2 - cyc + _cosines(n, np.pi / n)[None, :]),
+    }
+
+
+def _grid_laplacian_energy_display(m, n):
+    # The offset to the average degree is +1/m + 1/n, not -1/m - 1/n.
+    total = _cosines(m, np.pi / m)[:, None] + _cosines(n, np.pi / n)[None, :]
+    return {"laplacian_energy": 2 * np.abs(total + 1 / m + 1 / n).sum()}
+
+
+def _grid_line_display(m, n):
+    # The constant is -2, not +2; the (m-1)(n-1) - 1 extra 2s complete the
+    # 2mn - m - n edges.
+    total = _cosines(m, np.pi / m)[:, None] + _cosines(n, np.pi / n)[None, :]
+    values = (-2 - 2 * total).ravel().tolist() + [2.0] * ((m - 1) * (n - 1) - 1)
+    return {"adjacency": values}
+
+
+def _torus_line_display(m, r1, n, r2):
+    # The mn extra eigenvalues 2 add 2mn to the energy, not 4mn.
+    a, b = _cycle_cosines(m, r1)[:, None], _cycle_cosines(n, r2)[None, :]
+    values = (2 * (a + b - 1)).ravel().tolist() + [2.0] * (m * n)
+    return {"adjacency": values, "energy": 2 * np.abs(a + b - 1).sum() + 2 * m * n}
+
+
+def _complete_line_display(n, sign):
+    # From the zero-trace K_n spectrum {-1 x (n-1), n-1}; criterion 6 keeps
+    # the quoted values, which rest on {0 x (n-1), n-1}.
+    if sign == 1:
+        values = [2.0 - n] * (n - 1) + [2.0] * ((n - 1) * (n - 2) // 2)
+        en = 2 * (n - 1) * (n - 2)
+    else:
+        values = [4.0 - 2 * n] + [4.0 - n] * (n - 1) + [2.0] * (n * (n - 3) // 2)
+        en = 2 * (n - 2) + (n - 1) * abs(n - 4) + n * (n - 3)
+    return {"adjacency": values, "energy": en}
+
+
+PAPER_DISPLAYS = [
+    ("cylinder-path-index", f"cylinder:m={m},r1={r1},n={n}", False, _cylinder_display, (m, r1, n))
+    for m, r1, n in ((3, 1, 4), (4, 0, 3), (5, 1, 2), (6, 0, 1))
+] + [
+    ("grid-laplacian-energy-offset", f"grid:m={m},n={n}", False, _grid_laplacian_energy_display, (m, n))
+    for m, n in ((1, 4), (2, 3), (4, 4), (5, 2))
+] + [
+    ("grid-line-values", f"grid:m={m},n={n}", True, _grid_line_display, (m, n))
+    for m, n in ((2, 2), (3, 4), (5, 3))
+] + [
+    ("torus-line-energy", f"torus:m={m},r1={r1},n={n},r2={r2}", True, _torus_line_display, (m, r1, n, r2))
+    for m, r1, n, r2 in ((3, 0, 3, 0), (4, 1, 3, 1), (4, 0, 5, 1), (5, 1, 4, 0))
+] + [
+    ("complete-line-spectra", f"complete:n={n},sign={'+' if s > 0 else '-'}", True, _complete_line_display, (n, s))
+    for n in (3, 4, 5, 8)
+    for s in (1, -1)
+]
+
+
+@pytest.mark.parametrize(
+    "display, text, line, formula, args",
+    PAPER_DISPLAYS,
+    ids=[f"{display}-{text}{'-line' if line else ''}" for display, text, line, _, _ in PAPER_DISPLAYS],
+)
+def test_paper_display(display, text, line, formula, args):
+    spec = parse_family(text)
+    node = spectral_node(spec, line)
+    g = build_family(spec)
+    dense = dense_node(line_graph(g).graph if line else g)
+    for field, want in formula(*args).items():
+        for route, got in (("structured", getattr(node, field)), ("dense", getattr(dense, field))):
+            label = f"{display}, {field} of the {route} node"
+            if np.ndim(want):
+                got, want_sorted = np.sort(got), np.sort(np.ravel(want))
+                assert got.shape == want_sorted.shape, label
+                assert np.max(np.abs(got - want_sorted), initial=0.0) <= 1e-8, label
+            else:
+                assert abs(got - want) <= 1e-8, label
