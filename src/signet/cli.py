@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-spectrum   eigenvalues, energies and balance counts for one graph
+spectrum   eigenvalues, energies and balance counts of one graph, or of the
+           NEPS of two or more graphs under a chosen basis
 product    NEPS of two or more factor graphs under a chosen basis
 line       signed line graph of one graph
 verify     randomised/exhaustive property suites
@@ -17,6 +18,7 @@ memory, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,7 +30,7 @@ from .graphs import SignedGraph, adjacency, dumps, laplacian_from_adjacency, loa
 from .linegraph import line_graph
 from .products import Basis, cartesian_basis, neps, p_sum_basis, strong_basis
 from .spectra import EigensolverError
-from .structured import SpectralNode, adjacency_values, spectral_node
+from .structured import SpectralNode, line_node, product_node, spectral_node
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -111,13 +113,19 @@ def _single_input(ns, command: str) -> tuple[str, str]:
 
 
 def cmd_spectrum(ns) -> int:
-    kind, value = _single_input(ns, "spectrum")
+    inputs = getattr(ns, "inputs", None) or []
+    if not inputs:
+        raise ValueError("spectrum expects at least one --family or --file input")
     # A family is answered from its spectral rules; a file is built and solved.
-    source = parse_family(value) if kind == "family" else _load_file(value)
+    nodes = [spectral_node(parse_family(value) if kind == "family" else _load_file(value)) for kind, value in inputs]
+    basis = _parse_basis(ns.basis, len(nodes))
+    node = nodes[0] if len(nodes) == 1 else product_node(basis, nodes)
+    if ns.line:
+        node = line_node(node)
     if ns.csv:
-        text = "\n".join("%.12g" % v for v in adjacency_values(source, ns.line))
+        text = "\n".join("%.12g" % v for v in node.adjacency)
     else:
-        text = json.dumps(_report(spectral_node(source, ns.line)))
+        text = json.dumps(_report(node))
     _emit(text, ns.out)
     return EXIT_OK
 
@@ -190,26 +198,32 @@ def _add_input_flags(parser):
     parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
+def _add_basis_flag(parser):
+    parser.add_argument(
+        "--basis",
+        default="cartesian",
+        metavar="BASIS",
+        help="cartesian, strong, p=<k>, or comma-separated 0/1 vectors like 10,01,11",
+    )
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="signet", description="Signed-graph spectra, products and line graphs."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="spectra, energies and balance of one graph")
+    sp = sub.add_parser("spectrum", help="spectra, energies and balance of one graph or a product")
     _add_input_flags(sp)
+    _add_basis_flag(sp)
     sp.add_argument("--line", action="store_true", help="analyse the line graph instead")
     sp.add_argument("--csv", action="store_true", help="print eigenvalues one per line")
     sp.set_defaults(func=cmd_spectrum)
 
     pp = sub.add_parser("product", help="NEPS of two or more graphs")
     _add_input_flags(pp)
-    pp.add_argument(
-        "--basis",
-        default="cartesian",
-        metavar="BASIS",
-        help="cartesian, strong, p=<k>, or comma-separated 0/1 vectors like 10,01,11",
-    )
+    _add_basis_flag(pp)
     pp.add_argument(
         "--matrix", action="store_true", help="also emit adjacency/degree/Laplacian matrices"
     )

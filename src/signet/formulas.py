@@ -3,9 +3,9 @@
 Nothing in this module calls an eigensolver; every value comes from an
 explicit cosine or integer expression, so these functions and the dense
 solver can cross-validate each other.  The leaf forms (paths, cycles,
-complete graphs), the Cartesian sum rule and the line-graph rule are what
-:mod:`signet.structured` composes into the spectra of grids, cylinders,
-tori and line graphs; the tests state the paper's displays over those
+complete graphs), the NEPS sum rule and the line-graph rule are what
+:mod:`signet.structured` composes into the spectra of products, grids,
+cylinders, tori and line graphs; the tests state the paper's displays over those
 composed nodes.
 """
 
@@ -25,7 +25,7 @@ __all__ = [
     "cycle_laplacian_spectrum",
     "complete_spectrum",
     "complete_laplacian_spectrum",
-    "cartesian_sum",
+    "neps_sum",
     "line_spectrum_general",
 ]
 
@@ -90,21 +90,34 @@ def complete_laplacian_spectrum(n: int, sign: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Cartesian products
+# NEPS products
 # ---------------------------------------------------------------------------
 
 
-def cartesian_sum(spectra: Sequence[Sequence[float]]) -> np.ndarray:
-    """Spectrum of a Cartesian product from its factors' spectra.
+def neps_sum(spectra: Sequence[Sequence[float]], vectors: Sequence[Sequence[int]]) -> np.ndarray:
+    """Spectrum of a NEPS product from its factors' spectra.
 
-    Adjacency and Laplacian matrices of a Cartesian product are Kronecker
-    sums, so its eigenvalues are every sum of one eigenvalue per factor,
-    enumerated with the first factor's index slowest (Kronecker order).
+    The product adjacency is sum_beta (x)_i A_i^beta_i over the basis
+    vectors beta, and the A_i are simultaneously diagonalised by their
+    eigenvector Kronecker products, so its eigenvalues are
+    sum_beta prod_i lambda_{i,j_i}^beta_i over every index tuple
+    (Cvetkovic-Doob-Sachs), enumerated with the first factor's index slowest
+    (Kronecker order).  The terms are added in basis order; for the
+    Cartesian basis each value is the plain sum of one value per factor,
+    which is also the Laplacian rule of a Cartesian product.
     """
-    total = np.zeros(1)
-    for values in spectra:
-        total = (total[:, None] + np.asarray(values, dtype=float)[None, :]).ravel()
-    return total
+    nu = len(spectra)
+    # Factor i's values along axis i; every axis is in some pattern's support,
+    # so the sum of the terms broadcasts to the whole grid.
+    axes = [np.asarray(v, dtype=float).reshape([-1 if i == axis else 1 for i in range(nu)]) for axis, v in enumerate(spectra)]
+    total = np.zeros(())
+    for vec in vectors:
+        term = None
+        for a, bit in zip(axes, vec):
+            if bit:
+                term = a if term is None else term * a
+        total = total + term
+    return total.ravel()
 
 
 # ---------------------------------------------------------------------------

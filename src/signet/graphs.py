@@ -88,10 +88,12 @@ class SignedGraph:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """One connected component together with its balance verdict."""
+    """One connected component together with its balance and bipartiteness
+    verdicts."""
 
     vertices: tuple[int, ...]
     balanced: bool
+    bipartite: bool
 
 
 @dataclass(frozen=True)
@@ -222,17 +224,18 @@ def balance_report(g: SignedGraph) -> BalanceReport:
             continue
         cid = len(comp_vertices)
         comp_id[root] = cid
+        # members is the FIFO queue too: head walks it in discovery order.
         members = [root]
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
+        head = 0
+        while head < len(members):
+            u = members[head]
+            head += 1
             for v, s in nbrs[u]:
                 if comp_id[v] == -1:
                     comp_id[v] = cid
                     sigma[v] = sigma[u] * s
                     colour[v] = 1 - colour[u]
                     members.append(v)
-                    queue.append(v)
         comp_vertices.append(sorted(members))
 
     c = len(comp_vertices)
@@ -246,7 +249,7 @@ def balance_report(g: SignedGraph) -> BalanceReport:
             comp_bipartite[cid] = False
 
     components = tuple(
-        ComponentReport(tuple(vs), comp_balanced[i])
+        ComponentReport(tuple(vs), comp_balanced[i], comp_bipartite[i])
         for i, vs in enumerate(comp_vertices)
     )
     return BalanceReport(

@@ -1,20 +1,27 @@
-"""Spectra of family graphs and their line graphs, without building the graph.
+"""Spectra of signed graphs from an expression tree, building as little as possible.
 
-A ``--family`` graph is a leaf (path, cycle, complete graph) or the
-Cartesian product of two leaves (grid, cylinder, torus).  Its
-:class:`SpectralNode` is evaluated bottom-up, each node by the cheapest
-exact rule:
+A graph is a tree of nodes: a **leaf** (path, cycle, complete graph), a
+**dense** leaf (a built graph, such as a ``--file`` input), a **product**
+``NEPS(basis, nodes...)`` or a **line** graph of a node.  Grids, cylinders and
+tori are Cartesian products of two leaves.  Every field of a node is computed
+on first use, bottom-up, by the cheapest exact rule:
 
 - **leaf**: the closed forms of :mod:`signet.formulas`; balance counts
   follow from the parameters.
-- **Cartesian product**: adjacency and Laplacian eigenvalues are all sums
-  of one factor eigenvalue per factor; b, c and c_b multiply across the
-  factors, and maximum degrees add.
-- **line graph**: adjacency eigenvalues 2 - mu over the n - b largest base
-  Laplacian eigenvalues plus 2 repeated m - n + b times; Laplacian
-  2(k - 1) - lambda over a k-regular base; balance from :func:`line_balance`.
-- **dense leaf**: LAPACK on a built graph.  Only ``--file`` inputs and the
-  Laplacian of the line graph of a non-regular base take it.
+- **product**: adjacency eigenvalues are the NEPS sums over the basis of
+  products of one factor eigenvalue per factor; order, size and extreme
+  degrees follow from the factors'.  The Laplacian is the Cartesian sum of
+  the factors' Laplacian values for the Cartesian basis, k - lambda for a
+  k-regular product, and otherwise the dense leaf of the built product.  b,
+  c and c_b multiply for the Cartesian basis; for any other basis they come
+  from the balance sweep of the built product, which solves nothing.
+- **line graph**: adjacency eigenvalues 2 - mu over the n - b positive base
+  Laplacian eigenvalues plus 2 repeated m - n + b times; balance from
+  :func:`line_balance` over the base's components.  The Laplacian is
+  2(k - 1) - lambda over a k-regular base, the path closed form over a path,
+  and otherwise the dense leaf of the built line graph.
+- **dense leaf**: LAPACK on a built graph, and its breadth-first balance
+  sweep.  Only dense leaves solve.
 
 Modules are called through their attributes, so a function replaced on its
 module (a test double, a tracer) is the one that runs.
@@ -22,41 +29,73 @@ module (a test double, a tracer) is the one that runs.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from typing import Callable, Iterable
+import math
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import families, formulas, graphs, linegraph, spectra
+from . import families, formulas, graphs, linegraph, products, spectra
 
 __all__ = [
     "SpectralNode",
     "leaf_node",
-    "cartesian_node",
+    "dense_node",
+    "product_node",
     "line_balance",
     "line_node",
-    "dense_node",
     "family_node",
     "spectral_node",
-    "adjacency_values",
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class SpectralNode:
-    """Order, size, sorted adjacency and Laplacian eigenvalues, balance
-    counts and degree data of one graph."""
+    """One graph of the tree.
+
+    Fields, each computed once on first use: ``n``, ``m``, ``max_degree``,
+    ``min_degree``, the sorted ``adjacency`` and ``laplacian`` eigenvalues,
+    ``balance`` = (b, c, c_b), ``components`` = one (edge count, balanced,
+    bipartite, maximum degree) tuple per connected component, and ``graph``,
+    the built graph.
+    """
 
     n: int
     m: int
+    max_degree: int
+    min_degree: int
     adjacency: np.ndarray
     laplacian: np.ndarray
-    b: int
-    c: int
-    c_b: int
-    max_degree: int
-    regular: int | None  # the common degree of a regular graph with n >= 1
+    balance: tuple[int, int, int]
+    graph: graphs.SignedGraph
+
+    @property
+    def regular(self) -> int | None:
+        """The common degree of a regular graph with n >= 1, else None."""
+        return self.max_degree if self.n and self.max_degree == self.min_degree else None
+
+    @property
+    def b(self) -> int:
+        return self.balance[0]
+
+    @property
+    def c(self) -> int:
+        return self.balance[1]
+
+    @property
+    def c_b(self) -> int:
+        return self.balance[2]
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, bool, bool, int], ...]:
+        b, c, c_b = self.balance
+        if c <= 1:
+            return ((self.m, b == 1, c_b == 1, self.max_degree),) * c
+        return self._built.components
+
+    @cached_property
+    def _built(self) -> SpectralNode:
+        """The dense leaf of the built graph, for the fields no rule gives."""
+        return dense_node(self.graph)
 
     @property
     def energy(self) -> float:
@@ -68,41 +107,149 @@ class SpectralNode:
         return spectra.laplacian_energy_from_spectrum(self.laplacian.tolist(), d_bar)
 
 
-def leaf_node(kind: str, n: int, x: int) -> SpectralNode:
-    """Closed-form node of path(n, r=x), cycle(n, r=x) or complete(n, sign=x)."""
-    if kind == "path":
-        adj, lap = formulas.path_spectrum(n), formulas.path_laplacian_spectrum(n)
-        m, b, c_b, max_degree = n - 1, 1, 1, min(n - 1, 2)
-        regular = n - 1 if n <= 2 else None
-    elif kind == "cycle":
-        adj, lap = formulas.cycle_spectrum(n, x), formulas.cycle_laplacian_spectrum(n, x)
-        m, b, c_b, max_degree, regular = n, 1 - formulas.parity(x), 1 - n % 2, 2, 2
-    else:
-        adj, lap = formulas.complete_spectrum(n, x), formulas.complete_laplacian_spectrum(n, x)
-        # -K_n has a negative triangle once n >= 3; K_n is bipartite only up to n = 2.
-        m, b, c_b = n * (n - 1) // 2, int(x == 1 or n <= 2), int(n <= 2)
-        max_degree = regular = n - 1
-    return SpectralNode(n, m, np.sort(adj), np.sort(lap), b, 1, c_b, max_degree, regular)
+class _Leaf(SpectralNode):
+    def __init__(self, kind: str, n: int, x: int):
+        self.kind, self.n, self.x = kind, n, x
+        if kind == "path":
+            self.m, b, c_b = n - 1, 1, 1
+            self.max_degree, self.min_degree = min(n - 1, 2), min(n - 1, 1)
+        elif kind == "cycle":
+            self.m, b, c_b = n, 1 - formulas.parity(x), 1 - n % 2
+            self.max_degree = self.min_degree = 2
+        else:
+            # -K_n has a negative triangle once n >= 3; K_n is bipartite only up to n = 2.
+            self.m, b, c_b = n * (n - 1) // 2, int(x == 1 or n <= 2), int(n <= 2)
+            self.max_degree = self.min_degree = n - 1
+        self.balance = (b, 1, c_b)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        if self.kind == "path":
+            values = formulas.path_spectrum(self.n)
+        elif self.kind == "cycle":
+            values = formulas.cycle_spectrum(self.n, self.x)
+        else:
+            values = formulas.complete_spectrum(self.n, self.x)
+        return np.sort(values)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        if self.kind == "path":
+            values = formulas.path_laplacian_spectrum(self.n)
+        elif self.kind == "cycle":
+            values = formulas.cycle_laplacian_spectrum(self.n, self.x)
+        else:
+            values = formulas.complete_laplacian_spectrum(self.n, self.x)
+        return np.sort(values)
+
+    @cached_property
+    def graph(self) -> graphs.SignedGraph:
+        return getattr(families, self.kind)(self.n, self.x)  # families.path, .cycle, .complete
 
 
-def cartesian_node(f: SpectralNode, h: SpectralNode) -> SpectralNode:
-    """Node of the Cartesian product of two graphs from their nodes.
+class _Dense(SpectralNode):
+    def __init__(self, g: graphs.SignedGraph):
+        self.graph, self.n, self.m = g, g.n, g.m
 
-    A product of two components is balanced (bipartite) iff both are, so b,
-    c and c_b multiply; the degree of (u, v) is d(u) + d(v).
-    """
-    both_regular = f.regular is not None and h.regular is not None
-    return SpectralNode(
-        n=f.n * h.n,
-        m=f.m * h.n + f.n * h.m,
-        adjacency=np.sort(formulas.cartesian_sum([f.adjacency, h.adjacency])),
-        laplacian=np.sort(formulas.cartesian_sum([f.laplacian, h.laplacian])),
-        b=f.b * h.b,
-        c=f.c * h.c,
-        c_b=f.c_b * h.c_b,
-        max_degree=f.max_degree + h.max_degree,
-        regular=f.regular + h.regular if both_regular else None,
-    )
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        return graphs.adjacency(self.graph)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        return np.asarray(spectra.eigenvalues(self._matrix).values)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return np.asarray(spectra.eigenvalues(graphs.laplacian_from_adjacency(self._matrix)).values)
+
+    @cached_property
+    def _degrees(self) -> list[int]:
+        return graphs.degrees(self.graph).tolist()
+
+    @cached_property
+    def max_degree(self) -> int:
+        return max(self._degrees, default=0)
+
+    @cached_property
+    def min_degree(self) -> int:
+        return min(self._degrees, default=0)
+
+    @cached_property
+    def _report(self) -> graphs.BalanceReport:
+        return graphs.balance_report(self.graph)
+
+    @cached_property
+    def balance(self) -> tuple[int, int, int]:
+        rep = self._report
+        return rep.b, rep.c, rep.c_b
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, bool, bool, int], ...]:
+        deg = self._degrees
+        return tuple(
+            (sum(deg[v] for v in comp.vertices) // 2, comp.balanced, comp.bipartite, max(deg[v] for v in comp.vertices))
+            for comp in self._report.components
+        )
+
+
+class _Product(SpectralNode):
+    def __init__(self, basis: products.Basis, factors: Sequence[SpectralNode]):
+        if basis.nu != len(factors):
+            raise ValueError(f"basis arity {basis.nu} does not match {len(factors)} factors")
+        self.basis, self.factors = basis, tuple(factors)
+        # A basis has distinct patterns covering every coordinate, so weight-1
+        # patterns alone are the unit vectors.
+        self.cartesian = all(sum(vec) == 1 for vec in basis.vectors)
+
+    def _basis_sum(self, values: Sequence) -> int:
+        """Sum over the basis of the product of the support's values."""
+        return sum(math.prod(x for x, bit in zip(values, vec) if bit) for vec in self.basis.vectors)
+
+    @cached_property
+    def n(self) -> int:
+        return math.prod(f.n for f in self.factors)
+
+    @cached_property
+    def m(self) -> int:
+        # Pattern beta joins prod_{beta_i} 2 m_i * prod_{not beta_i} n_i ordered vertex pairs.
+        return sum(
+            math.prod(2 * f.m if bit else f.n for f, bit in zip(self.factors, vec)) for vec in self.basis.vectors
+        ) // 2
+
+    # The degree of (v_1, .., v_nu) is sum_beta prod_{beta_i} d_i(v_i), which
+    # grows with every d_i: the extremes are taken at the factors' extremes.
+    @cached_property
+    def max_degree(self) -> int:
+        return self._basis_sum([f.max_degree for f in self.factors]) if self.n else 0
+
+    @cached_property
+    def min_degree(self) -> int:
+        return self._basis_sum([f.min_degree for f in self.factors]) if self.n else 0
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        return np.sort(formulas.neps_sum([f.adjacency for f in self.factors], self.basis.vectors))
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        if self.cartesian:
+            return np.sort(formulas.neps_sum([f.laplacian for f in self.factors], self.basis.vectors))
+        k = self.regular
+        if k is not None:
+            return np.sort(float(k) - self.adjacency)
+        return self._built.laplacian
+
+    @cached_property
+    def balance(self) -> tuple[int, int, int]:
+        if self.cartesian:
+            # A Cartesian product of components is balanced (bipartite) iff each is.
+            return tuple(math.prod(f.balance[i] for f in self.factors) for i in range(3))
+        return self._built.balance
+
+    @cached_property
+    def graph(self) -> graphs.SignedGraph:
+        return products.neps([f.graph for f in self.factors], self.basis)
 
 
 def line_balance(components: Iterable[tuple[int, bool, bool, int]]) -> tuple[int, int, int]:
@@ -125,84 +272,94 @@ def line_balance(components: Iterable[tuple[int, bool, bool, int]]) -> tuple[int
     return b, c, c_b
 
 
-def _line_adjacency(base: SpectralNode) -> np.ndarray:
-    values = formulas.line_spectrum_general(base.laplacian, base.m, base.n, base.b)
-    return np.asarray(values, dtype=float)
+class _Line(SpectralNode):
+    def __init__(self, base: SpectralNode):
+        self.base = base
+
+    @cached_property
+    def laplacian_rule(self) -> str:
+        """``regular``, ``path`` or ``dense``: what gives the Laplacian, size and degrees."""
+        base = self.base
+        if base.regular is not None:
+            return "regular"
+        # A connected non-regular graph of maximum degree <= 2 is a path.
+        return "path" if base.max_degree <= 2 and base.c == 1 else "dense"
+
+    @cached_property
+    def _source(self) -> SpectralNode:
+        """The node holding the Laplacian, size and degrees over a non-regular base."""
+        return leaf_node("path", self.base.m, 0) if self.laplacian_rule == "path" else self._built
+
+    @cached_property
+    def n(self) -> int:
+        return self.base.m
+
+    @cached_property
+    def m(self) -> int:
+        k = self.base.regular
+        return self.base.n * k * (k - 1) // 2 if k is not None else self._source.m
+
+    @cached_property
+    def max_degree(self) -> int:
+        k = self.base.regular
+        if k is None:
+            return self._source.max_degree
+        return 2 * (k - 1) if self.base.m else 0  # the line graph of a k-regular graph is 2(k - 1)-regular
+
+    @cached_property
+    def min_degree(self) -> int:
+        return self.max_degree if self.base.regular is not None else self._source.min_degree
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        base = self.base
+        return np.asarray(formulas.line_spectrum_general(base.laplacian, base.m, base.n, base.b), dtype=float)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        k = self.base.regular
+        return np.sort(2.0 * (k - 1) - self.adjacency) if k is not None else self._source.laplacian
+
+    @cached_property
+    def balance(self) -> tuple[int, int, int]:
+        return line_balance(self.base.components)
+
+    @cached_property
+    def graph(self) -> graphs.SignedGraph:
+        return linegraph.line_graph(self.base.graph).graph
 
 
-def _degree_data(degrees: np.ndarray) -> tuple[int, int | None]:
-    """(maximum degree, common degree or None) of a degree vector."""
-    if degrees.size == 0:
-        return 0, None
-    top = int(degrees.max())
-    return top, top if int(degrees.min()) == top else None
-
-
-def line_node(base: SpectralNode, build_line_graph: Callable[[], graphs.SignedGraph]) -> SpectralNode:
-    """Node of the line graph of a connected graph from the graph's node.
-
-    ``build_line_graph`` is called only when the base is not regular: the
-    line graph's Laplacian then comes from the dense leaf.
-    """
-    if base.c != 1:
-        raise ValueError(f"the line rule needs a connected base graph, got {base.c} components")
-    adjacency = _line_adjacency(base)
-    b, c, c_b = line_balance([(base.m, base.b == 1, base.c_b == 1, base.max_degree)])
-    k = base.regular
-    if k is not None:
-        # The line graph of a k-regular graph is 2(k - 1)-regular.
-        laplacian = np.sort(2.0 * (k - 1) - adjacency)
-        m = base.n * k * (k - 1) // 2
-        max_degree, regular = (2 * (k - 1), 2 * (k - 1)) if base.m else (0, None)
-    else:
-        lg = build_line_graph()
-        lap_matrix = graphs.laplacian(lg)
-        laplacian = np.asarray(spectra.eigenvalues(lap_matrix).values)
-        m = lg.m
-        max_degree, regular = _degree_data(np.diag(lap_matrix))
-    return SpectralNode(base.m, m, adjacency, laplacian, b, c, c_b, max_degree, regular)
+def leaf_node(kind: str, n: int, x: int) -> SpectralNode:
+    """Closed-form node of path(n, r=x), cycle(n, r=x) or complete(n, sign=x)."""
+    return _Leaf(kind, n, x)
 
 
 def dense_node(g: graphs.SignedGraph) -> SpectralNode:
     """Node of a built graph: one adjacency matrix, L = diag(|A| 1) - A,
-    LAPACK on both and a breadth-first balance sweep."""
-    a = graphs.adjacency(g)
-    lap = graphs.laplacian_from_adjacency(a)
-    rep = graphs.balance_report(g)
-    max_degree, regular = _degree_data(np.diag(lap))
-    return SpectralNode(
-        g.n,
-        g.m,
-        np.asarray(spectra.eigenvalues(a).values),
-        np.asarray(spectra.eigenvalues(lap).values),
-        rep.b,
-        rep.c,
-        rep.c_b,
-        max_degree,
-        regular,
-    )
+    LAPACK on each when asked for, and a breadth-first balance sweep."""
+    return _Dense(g)
+
+
+def product_node(basis: products.Basis, factors: Sequence[SpectralNode]) -> SpectralNode:
+    """Node of the NEPS of the factors' graphs under ``basis``."""
+    return _Product(basis, factors)
+
+
+def line_node(base: SpectralNode) -> SpectralNode:
+    """Node of the line graph of a graph from the graph's node."""
+    return _Line(base)
+
+
+_FAMILY_BASIS = products.cartesian_basis(2)  # grids, cylinders and tori
 
 
 def family_node(spec: families.FamilySpec) -> SpectralNode:
     """Node of a family graph from its leaves, with no graph built."""
-    return functools.reduce(cartesian_node, (leaf_node(*leaf) for leaf in families.family_leaves(spec)))
+    leaves = [leaf_node(*leaf) for leaf in families.family_leaves(spec)]
+    return leaves[0] if len(leaves) == 1 else product_node(_FAMILY_BASIS, leaves)
 
 
 def spectral_node(source: graphs.SignedGraph | families.FamilySpec, line: bool = False) -> SpectralNode:
     """Node of a built graph or a family, or of its line graph."""
-    if isinstance(source, graphs.SignedGraph):
-        return dense_node(linegraph.line_graph(source).graph if line else source)
-    node = family_node(source)
-    if line:
-        node = line_node(node, lambda: linegraph.line_graph(families.build_family(source)).graph)
-    return node
-
-
-def adjacency_values(source: graphs.SignedGraph | families.FamilySpec, line: bool = False) -> np.ndarray:
-    """Sorted adjacency eigenvalues alone, by the same routes as
-    :func:`spectral_node`."""
-    if isinstance(source, graphs.SignedGraph):
-        g = linegraph.line_graph(source).graph if line else source
-        return np.asarray(spectra.adjacency_spectrum(g).values)
-    node = family_node(source)
-    return _line_adjacency(node) if line else node.adjacency
+    node = dense_node(source) if isinstance(source, graphs.SignedGraph) else family_node(source)
+    return line_node(node) if line else node

@@ -2,7 +2,8 @@
 
 Each suite runs a batch of independent checks and reports how many ran and
 which failed.  All randomness is driven by a caller-supplied seed, so a
-given invocation is exactly reproducible.
+given invocation is exactly reproducible.  A suite run solves each distinct
+matrix once (:class:`_Solves`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .graphs import (
 from .linegraph import line_graph
 from .oracle import rank_exact
 from .products import Basis, cartesian, kron_sum_over_basis, neps, strong_basis
-from .spectra import adjacency_spectrum, energy, laplacian_energy, laplacian_spectrum
+from .spectra import eigenvalues, energy_from_spectrum, laplacian_energy_from_spectrum
 from .structured import family_node, line_node
 
 __all__ = ["SuiteResult", "SUITES", "run_suite"]
@@ -53,6 +54,37 @@ def _random_graph(rng, max_n: int) -> SignedGraph:
     n = int(rng.integers(1, max_n + 1))
     p = float(rng.choice([0.2, 0.5, 0.8]))
     return random_signed_graph(rng, n, p)
+
+
+class _Solves:
+    """Spectra of the graph matrices one suite run solves, each distinct
+    matrix solved once."""
+
+    def __init__(self):
+        self._seen: dict[tuple, np.ndarray] = {}
+
+    def _spectrum(self, matrix: np.ndarray) -> np.ndarray:
+        # Entries of a graph matrix lie in [-(n - 1), n - 1], so up to order
+        # 128 its int8 bytes are an exact key an eighth the size: a
+        # closed-forms run would otherwise keep 4 MB of keys.
+        data = matrix.astype(np.int8) if len(matrix) <= 128 else matrix
+        key = (matrix.shape, data.tobytes())
+        values = self._seen.get(key)
+        if values is None:
+            values = self._seen[key] = np.array(eigenvalues(matrix).values)
+        return values
+
+    def adjacency(self, g: SignedGraph) -> np.ndarray:
+        return self._spectrum(adjacency(g))
+
+    def laplacian(self, g: SignedGraph) -> np.ndarray:
+        return self._spectrum(laplacian(g))
+
+    def energy(self, g: SignedGraph) -> float:
+        return energy_from_spectrum(self.adjacency(g))
+
+    def laplacian_energy(self, g: SignedGraph) -> float:
+        return laplacian_energy_from_spectrum(self.laplacian(g), 2.0 * g.m / g.n if g.n else 0.0)
 
 
 def _multiset_close(a, b, tol: float = 1e-8) -> bool:
@@ -94,11 +126,10 @@ def acharya_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 200) ->
     """Balanced iff cospectral with the all-positive underlying graph."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("acharya")
+    solve = _Solves()
     for i in range(count):
         g = _random_graph(rng, max_n)
-        same = _multiset_close(
-            adjacency_spectrum(g).values, adjacency_spectrum(underlying(g)).values
-        )
+        same = _multiset_close(solve.adjacency(g), solve.adjacency(underlying(g)))
         balanced = balance_report(g).balanced
         result.record(
             same == balanced,
@@ -157,13 +188,14 @@ def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 6
     energies; equality for the tensor basis, strict otherwise."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("energy-bounds")
+    solve = _Solves()
     for i in range(count):
         factors = _factors_with_edges(rng)
         nu = len(factors)
         basis = _random_basis(rng, nu)
         g = neps(factors, basis)
-        lhs = energy(g) / g.n
-        factor_rates = [energy(f) / f.n for f in factors]
+        lhs = solve.energy(g) / g.n
+        factor_rates = [solve.energy(f) / f.n for f in factors]
         rhs = sum(
             math.prod(r for r, bit in zip(factor_rates, vec) if bit)
             for vec in basis.vectors
@@ -175,8 +207,8 @@ def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 6
             result.record(rhs - lhs > 1e-9, f"case {i}: strictness broken ({lhs} vs {rhs})")
         if nu >= 2:
             cart = cartesian(factors)
-            l_lhs = laplacian_energy(cart) / cart.n
-            l_rhs = sum(laplacian_energy(f) / f.n for f in factors)
+            l_lhs = solve.laplacian_energy(cart) / cart.n
+            l_rhs = sum(solve.laplacian_energy(f) / f.n for f in factors)
             result.record(
                 l_lhs <= l_rhs + 1e-9, f"case {i}: Laplacian bound violated"
             )
@@ -189,7 +221,7 @@ def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 6
 
 def _closed_form_cases(max_n: int):
     """The closed-forms cases as (family string, check the graph, check its
-    line graph, check the line graph's Laplacian where the base is regular)."""
+    line graph, check the line graph's Laplacian where a rule gives it)."""
     for n in range(1, max_n + 1):
         for r in range(n):
             yield f"path:n={n},r={r}", True, False, False
@@ -212,32 +244,35 @@ def _closed_form_cases(max_n: int):
     for n in range(1, max_n + 1):
         for sign in "+-":
             yield f"complete:n={n},sign={sign}", False, True, True
+    for n in range(1, max_n + 1):
+        for r in range(n):
+            yield f"path:n={n},r={r}", False, True, True
 
 
 def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED, count: int = 0) -> SuiteResult:
     """The structured family nodes that ``spectrum --family`` answers with,
     and their line-graph rules, match the dense solver within 1e-8."""
     result = SuiteResult("closed-forms")
+    solve = _Solves()
 
-    def check(label, node_values, spectrum):
-        result.record(_multiset_close(node_values, spectrum.values), f"{label}: node != solver")
+    def check(label, node_values, solved):
+        result.record(_multiset_close(node_values, solved), f"{label}: node != solver")
 
     for text, plain, line, line_laplacian in _closed_form_cases(max_n):
         spec = parse_family(text)
         node = family_node(spec)
         g = build_family(spec)
         if plain:
-            check(f"{text} adjacency", node.adjacency, adjacency_spectrum(g))
-            check(f"{text} laplacian", node.laplacian, laplacian_spectrum(g))
+            check(f"{text} adjacency", node.adjacency, solve.adjacency(g))
+            check(f"{text} laplacian", node.laplacian, solve.laplacian(g))
         if line:
             lg = line_graph(g).graph
+            lined = line_node(node)
             try:
-                values = formulas.line_spectrum_general(node.laplacian, node.m, node.n, node.b)
-                check(f"line({text}) adjacency", values, adjacency_spectrum(lg))
-                # Only over a regular base does the rule give the line Laplacian;
-                # otherwise the CLI solves it densely, which is no check.
-                if line_laplacian and node.regular is not None:
-                    check(f"line({text}) laplacian", line_node(node, lambda: lg).laplacian, laplacian_spectrum(lg))
+                check(f"line({text}) adjacency", lined.adjacency, solve.adjacency(lg))
+                # A line Laplacian from the dense leaf would be compared with itself.
+                if line_laplacian and lined.laplacian_rule != "dense":
+                    check(f"line({text}) laplacian", lined.laplacian, solve.laplacian(lg))
             except ValueError as exc:
                 result.record(False, f"line({text}): the line rule refuses the node: {exc}")
     return result
@@ -247,6 +282,7 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 1
     """Line-graph matrix identity and spectrum reconstruction on random graphs."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("line-theorems")
+    solve = _Solves()
     for i in range(count):
         g = _random_graph(rng, max_n)
         lg = line_graph(g).graph
@@ -256,9 +292,9 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 1
         )
         result.record(identity_ok, f"graph {i}: A(line) != 2I - H^T H")
         rep = balance_report(g)
-        got = adjacency_spectrum(lg).values
+        got = solve.adjacency(lg)
         try:
-            expected = formulas.line_spectrum_general(laplacian_spectrum(g).values, g.m, g.n, rep.b)
+            expected = formulas.line_spectrum_general(solve.laplacian(g), g.m, g.n, rep.b)
             matched = _multiset_close(expected, got)
             problem = "" if matched else "line spectrum does not match the Laplacian construction"
         except ValueError as exc:

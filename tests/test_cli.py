@@ -84,9 +84,13 @@ def test_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
     doc = tmp_path / "cycle.json"
     doc.write_text(dumps(cycle(5, 0)))
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    # A file is solved densely; the line graph of a non-regular family
-    # solves its Laplacian.
-    for argv in (["--file", str(doc)], ["--family", "path:n=6", "--line"]):
+    # A file is solved densely; the line graph of a non-regular grid and a
+    # non-Cartesian product of non-regular factors solve their Laplacians.
+    for argv in (
+        ["--file", str(doc)],
+        ["--family", "grid:m=2,n=3", "--line"],
+        ["--family", "path:n=3", "--family", "path:n=4", "--basis", "strong"],
+    ):
         code, out, err = run(capsys, "spectrum", *argv)
         assert code == 3, argv
         assert out == ""
@@ -260,6 +264,23 @@ def test_verify_command_runs_suites(capsys):
     assert code == 0
     assert "closed-forms:" in out
     assert "0 failures" in out
+
+
+def test_suites_solve_each_distinct_matrix_once(monkeypatch, capsys):
+    from signet import spectra, verify
+
+    solved = []
+
+    def counting(matrix):
+        solved.append((matrix.shape, matrix.tobytes()))
+        return spectra.eigenvalues(matrix)
+
+    monkeypatch.setattr(verify, "eigenvalues", counting)
+    for suite in ("acharya", "closed-forms", "energy-bounds", "line-theorems"):
+        solved.clear()
+        code, out, _ = run(capsys, "verify", suite, "--max", "5", "--seed", "9")
+        assert code == 0, out
+        assert solved and len(solved) == len(set(solved)), suite
 
 
 def test_closed_forms_suite_fails_on_a_wrong_cycle_form(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Structured spectra (closed-form leaves, Cartesian sums, line-graph rules)
+"""Structured spectra (closed-form leaves, NEPS sums, line-graph rules)
 against the dense route on the built graph."""
 
 from __future__ import annotations
@@ -11,17 +11,18 @@ import pytest
 from conftest import TEST_SEED
 
 from signet.cli import _report, main
-from signet.families import build_family, parse_family, random_signed_graph
-from signet.graphs import SignedGraph, balance_report, degrees
+from signet.families import build_family, parse_family, path, random_signed_graph
+from signet.graphs import SignedGraph, balance_report, degrees, dumps
 from signet.linegraph import line_graph
-from signet.products import cartesian
+from signet.products import cartesian, cartesian_basis, neps
 from signet.structured import (
-    adjacency_values,
-    cartesian_node,
     dense_node,
     line_balance,
+    line_node,
+    product_node,
     spectral_node,
 )
+from signet.verify import _random_basis, _random_factors
 
 MAX_ORDER = 8  # leaves and product factors of orders 1..8 (cycles 3..8)
 ALL_R_FACTOR = 5  # product factors up to this order take every r; larger ones r = 0, 1
@@ -57,22 +58,124 @@ def _assert_reports_agree(got: dict, want: dict, n: int, label: str):
         assert abs(got[key] - want[key]) <= 1e-9 * max(n, 1), f"{label}: {key}"
 
 
+def _assert_nodes_agree(node, fresh, built, label: str):
+    """``node`` and ``fresh`` (an unevaluated twin, read as ``--csv`` reads
+    it) against the dense node of ``built``."""
+    ref = dense_node(built)
+    assert (node.n, node.m, node.max_degree, node.min_degree, node.regular) == (
+        ref.n, ref.m, ref.max_degree, ref.min_degree, ref.regular,
+    ), label
+    _assert_reports_agree(_report(node), _report(ref), built.n, label)
+    csv = fresh.adjacency
+    assert np.max(np.abs(csv - ref.adjacency), initial=0.0) <= 1e-9 * max(
+        1.0, float(np.abs(ref.adjacency).max(initial=0.0))
+    ), label
+
+
 def test_structured_reports_equal_dense_reports_of_built_graphs():
     for text in FAMILIES:
         spec = parse_family(text)
         g = build_family(spec)
         for line in (False, True):
-            label = f"{text} line={line}"
             built = line_graph(g).graph if line else g
-            node, ref = spectral_node(spec, line), dense_node(built)
-            assert (node.n, node.m, node.max_degree, node.regular) == (
-                ref.n, ref.m, ref.max_degree, ref.regular,
-            ), label
-            _assert_reports_agree(_report(node), _report(ref), built.n, label)
-            csv = adjacency_values(spec, line)
-            assert np.max(np.abs(csv - ref.adjacency), initial=0.0) <= 1e-9 * max(
-                1.0, float(np.abs(ref.adjacency).max(initial=0.0))
-            ), label
+            _assert_nodes_agree(spectral_node(spec, line), spectral_node(spec, line), built, f"{text} line={line}")
+
+
+LINE_CASE_MAX_EDGES = 400  # the dense reference solves the line graph, one order per product edge
+
+
+def test_product_tree_equals_dense_route_on_random_factor_sets():
+    # Factors of orders 1..4 (several components, isolated vertices, no
+    # edges), nu <= 3, product orders <= 64, random bases.
+    rng = np.random.default_rng(TEST_SEED + 70)
+    lined = 0
+    for i in range(200):
+        factors = _random_factors(rng)
+        basis = _random_basis(rng, len(factors))
+        g = neps(factors, basis)
+        label = f"case {i}: {basis.vectors} over {factors}"
+
+        def tree(line):
+            node = product_node(basis, [dense_node(f) for f in factors])
+            return line_node(node) if line else node
+
+        _assert_nodes_agree(tree(False), tree(False), g, label)
+        if g.m <= LINE_CASE_MAX_EDGES:
+            _assert_nodes_agree(tree(True), tree(True), line_graph(g).graph, f"line of {label}")
+            lined += 1
+    assert lined >= 150
+
+
+def test_line_of_file_equals_dense_route_on_corpus(corpus):
+    # Bases with several components, which the line rule used to refuse.
+    for i, g in enumerate(corpus):
+        _assert_nodes_agree(line_node(dense_node(g)), line_node(dense_node(g)), line_graph(g).graph, f"graph {i}")
+        assert dense_node(g).components == tuple(_component_data(g)), f"graph {i}"
+
+
+def test_line_of_path_is_the_path_leaf():
+    for n in range(1, 65):
+        for r in range(n):
+            text = f"path:n={n},r={r}"
+            node = spectral_node(parse_family(text), line=True)
+            assert node.laplacian_rule == ("path" if n >= 3 else "regular"), text
+            _assert_nodes_agree(node, spectral_node(parse_family(text), line=True), line_graph(path(n, r)).graph, text)
+
+
+def test_product_spectrum_command_equals_the_built_product(tmp_path, capsys):
+    # Family and file factors mixed, through the CLI, against the dense route
+    # on the graph `product` writes.
+    doc = tmp_path / "factor.json"
+    doc.write_text(dumps(random_signed_graph(np.random.default_rng(TEST_SEED + 71), 5, 0.6)))
+    inputs = ["--family", "cycle:n=4,r=1", "--file", str(doc), "--family", "path:n=3"]
+    for basis in ("cartesian", "strong", "p=2", "100,011,111"):
+        assert main(["product", *inputs, "--basis", basis]) == 0
+        g = SignedGraph(**{k: [tuple(e) for e in v] if k == "edges" else v
+                           for k, v in json.loads(capsys.readouterr().out).items()})
+        for line in (False, True):
+            built = line_graph(g).graph if line else g
+            ref = dense_node(built)
+            flags = ["--line"] if line else []
+            assert main(["spectrum", *inputs, "--basis", basis, *flags]) == 0
+            _assert_reports_agree(json.loads(capsys.readouterr().out), _report(ref), built.n, f"{basis} {flags}")
+            assert main(["spectrum", *inputs, "--basis", basis, "--csv", *flags]) == 0
+            csv = np.array([float(x) for x in capsys.readouterr().out.split()])
+            assert np.max(np.abs(csv - ref.adjacency), initial=0.0) <= 1e-9 * max(1.0, np.abs(ref.adjacency).max())
+
+
+def test_spectrum_basis_needs_matching_inputs(capsys):
+    for argv in (
+        ["--family", "path:n=3", "--basis", "10,01"],
+        ["--family", "path:n=3", "--family", "path:n=2", "--basis", "100"],
+        ["--family", "path:n=3", "--family", "path:n=2", "--basis", "p=3"],
+        [],
+    ):
+        code = main(["spectrum", *argv])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "" and captured.err.startswith("signet: "), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "path:n=3000", "--line"],
+        ["--family", "path:n=3000,r=7", "--line", "--csv"],
+        ["--family", "path:n=5", "--family", "complete:n=4,sign=-", "--family", "cycle:n=6,r=1", "--basis", "p=2", "--csv"],
+        ["--family", "grid:m=3,n=4", "--family", "path:n=7", "--csv", "--line"],
+        ["--family", "cycle:n=5,r=1", "--family", "complete:n=4,sign=-", "--family", "cycle:n=4"],
+        ["--family", "torus:m=4,n=5", "--family", "complete:n=3", "--line"],
+    ],
+)
+def test_rules_answer_without_a_solve(monkeypatch, capsys, argv):
+    def fail(matrix):
+        raise AssertionError("a dense solve ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code = main(["spectrum", *argv])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out
 
 
 def test_family_csv_prints_the_structured_spectrum(capsys):
@@ -80,7 +183,7 @@ def test_family_csv_prints_the_structured_spectrum(capsys):
         code = main(["spectrum", "--family", text, "--csv"] + (["--line"] if line else []))
         out = capsys.readouterr().out
         assert code == 0
-        want = adjacency_values(parse_family(text), line)
+        want = spectral_node(parse_family(text), line).adjacency
         assert out.splitlines() == ["%.12g" % v for v in want]
 
 
@@ -108,7 +211,7 @@ def test_cartesian_rule_on_random_factor_pairs():
     for _ in range(60):
         f = random_signed_graph(rng, int(rng.integers(1, 6)), float(rng.choice([0.2, 0.5, 0.8])))
         h = random_signed_graph(rng, int(rng.integers(1, 6)), float(rng.choice([0.2, 0.5, 0.8])))
-        got = cartesian_node(dense_node(f), dense_node(h))
+        got = product_node(cartesian_basis(2), [dense_node(f), dense_node(h)])
         want = dense_node(cartesian([f, h]))
         label = f"{f} x {h}"
         assert (got.n, got.m, got.b, got.c, got.c_b, got.max_degree, got.regular) == (
