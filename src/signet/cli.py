@@ -244,7 +244,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`signet ... | head`); the answer was not
+        # bad input.  Point stdout at devnull so the final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except EigensolverError as exc:
         print(f"signet: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,17 +35,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+class lazy_field:
+    """Attribute computed by ``fn(obj)`` on first use and stored on the
+    instance, where every later lookup finds it first.
+
+    ``functools.cached_property`` does the same, but on Python < 3.12 it
+    takes a lock on every first access, and it writes through ``__dict__``,
+    which turns the instance's compact attribute storage into a dict that
+    every later attribute read pays for.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)  # also past a frozen dataclass's guard
+        return value
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+# An int64 edge array with fewer rows is checked edge by edge and kept as
+# triples, and a graph with fewer edges gets its adjacency matrix from the
+# triples: below this size the fixed cost of a dozen numpy calls exceeds
+# the per-edge loop's.
+ARRAY_MIN_EDGES = 32
+
+
+@dataclass(frozen=True, init=False)
 class SignedGraph:
-    """Simple graph on vertices 0..n-1 whose edges are signed +1 or -1.
+    """Simple graph on vertices 0..n-1 whose ``m`` edges are signed +1 or -1.
 
     Edges are canonicalised to ``(u, v, sign)`` with ``u < v`` and stored
     sorted lexicographically, so equal graphs compare equal and every
-    derived matrix is reproducible.
+    derived matrix is reproducible.  They are given either as triples or as
+    one int64 array of shape (m, 3), the form :func:`signet.products.neps`
+    builds.  The graph keeps the form it was given and derives the other on
+    first use: ``edges`` as a tuple of int triples, ``edge_array`` as a
+    read-only int64 array.  An array shorter than ``ARRAY_MIN_EDGES`` rows
+    is kept as triples.
     """
 
     n: int
-    edges: tuple[tuple[int, int, int], ...] = ()
+    edges: tuple[tuple[int, int, int], ...]  # a lazy_field below
+    m: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, n, edges=()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
         try:
@@ -54,36 +98,84 @@ class SignedGraph:
             raise ValueError(f"vertex count must be an integer, got {self.n!r}") from None
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        canon = []
-        for edge in self.edges:
-            try:
-                u, v, s = edge
-                # An exact tuple of exact ints is already canonical; keep it.
-                if type(edge) is tuple and type(u) is int and type(v) is int and type(s) is int:
-                    item = edge
-                else:
-                    item = (operator.index(u), operator.index(v), operator.index(s))
-                    u, v, s = item
-            except (TypeError, ValueError):
-                raise ValueError(f"malformed edge {edge!r}") from None
-            if not 0 <= u < v < n:
-                raise ValueError(f"edge {edge!r} violates 0 <= u < v < {n}")
-            if s not in (1, -1):
-                raise ValueError(f"edge {edge!r} has sign {s}, expected +1 or -1")
-            canon.append(item)
-        canon.sort()  # linear on input that is already sorted
-        pu = pv = -1
-        for u, v, _ in canon:
-            if u == pu and v == pv:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            pu, pv = u, v
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canon))
+        given = self.edges
+        if isinstance(given, np.ndarray) and given.dtype == np.int64 and given.ndim == 2 and given.shape[1] == 3:
+            if len(given) >= ARRAY_MIN_EDGES:
+                array = _canonical_array(n, given)
+                object.__delattr__(self, "edges")  # derived from the array when asked for
+                object.__setattr__(self, "edge_array", array)
+                object.__setattr__(self, "m", len(array))
+                return
+            given = zip(*given.T.tolist())
+        edges = _canonical_tuples(n, given)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "m", len(edges))
 
-    @property
-    def m(self) -> int:
-        """Number of edges."""
-        return len(self.edges)
+    @lazy_field
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        u, v, s = self.edge_array.T.tolist()
+        return tuple(zip(u, v, s))
+
+    @lazy_field
+    def edge_array(self) -> np.ndarray:
+        a = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+        a.flags.writeable = False
+        return a
+
+
+def _canonical_tuples(n: int, edges) -> tuple[tuple[int, int, int], ...]:
+    """Check and sort edge triples one by one."""
+    canon = []
+    for edge in edges:
+        try:
+            u, v, s = edge
+            # An exact tuple of exact ints is already canonical; keep it.
+            if type(edge) is tuple and type(u) is int and type(v) is int and type(s) is int:
+                item = edge
+            else:
+                item = (operator.index(u), operator.index(v), operator.index(s))
+                u, v, s = item
+        except (TypeError, ValueError):
+            raise ValueError(f"malformed edge {edge!r}") from None
+        if not 0 <= u < v < n:
+            raise ValueError(f"edge {edge!r} violates 0 <= u < v < {n}")
+        if s not in (1, -1):
+            raise ValueError(f"edge {edge!r} has sign {s}, expected +1 or -1")
+        canon.append(item)
+    canon.sort()  # linear on input that is already sorted
+    pu = pv = -1
+    for u, v, _ in canon:
+        if u == pu and v == pv:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        pu, pv = u, v
+    return tuple(canon)
+
+
+def _canonical_array(n: int, a: np.ndarray) -> np.ndarray:
+    """Check an int64 (m, 3) edge array as :func:`_canonical_tuples` checks
+    triples, with the same messages, and return a sorted read-only copy."""
+    u, v, s = a.T
+    bad = (u < 0) | (u >= v) | (s * s != 1)
+    if n <= _INT64_MAX:
+        bad |= v >= n
+    if bad.any():
+        edge = tuple(a[bad.argmax()].tolist())
+        if not 0 <= edge[0] < edge[1] < n:
+            raise ValueError(f"edge {edge!r} violates 0 <= u < v < {n}")
+        raise ValueError(f"edge {edge!r} has sign {edge[2]}, expected +1 or -1")
+    pu, nu, pv, nv = u[:-1], u[1:], v[:-1], v[1:]
+    if ((nu > pu) | ((nu == pu) & (nv > pv))).all():
+        a = a.copy()
+    else:
+        a = a[np.lexsort((v, u))]
+        u, v = a[:, 0], a[:, 1]
+        repeated = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+        if repeated.any():
+            i = repeated.argmax()
+            raise ValueError(f"duplicate edge ({u[i]}, {v[i]})")
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -125,6 +217,11 @@ class BalanceReport:
 def adjacency(g: SignedGraph) -> np.ndarray:
     """Signed adjacency matrix with entries in {-1, 0, 1}."""
     a = np.zeros((g.n, g.n), dtype=np.int64)
+    if g.m >= ARRAY_MIN_EDGES:
+        u, v, s = g.edge_array.T
+        a[u, v] = s
+        a[v, u] = s
+        return a
     for u, v, s in g.edges:
         a[u, v] = s
         a[v, u] = s
@@ -267,7 +364,7 @@ def balance_report(g: SignedGraph) -> BalanceReport:
 
 
 def to_json_dict(g: SignedGraph) -> dict:
-    return {"n": g.n, "edges": [[u, v, s] for u, v, s in g.edges]}
+    return {"n": g.n, "edges": g.edge_array.tolist()}
 
 
 def from_json_dict(obj) -> SignedGraph:
@@ -303,12 +400,32 @@ def from_json_dict(obj) -> SignedGraph:
 
 
 def dumps(g: SignedGraph) -> str:
-    """Canonical single-line JSON text (stable for sorted edge lists).
+    """Canonical single-line JSON text, equal to ``json.dumps(to_json_dict(g))``.
 
-    The edge tuples go to the encoder as they are; it writes tuples as
-    arrays, so the text equals ``json.dumps(to_json_dict(g))``.
+    The edge list is written from the edge array in one pass: one row of
+    bytes per edge, ``[u, v, s], `` with u and v as fixed-width digit
+    columns whose leading zeros are NUL bytes, and the sign as an optional
+    ``-`` before ``1``.  Dropping every NUL leaves the JSON text.
     """
-    return json.dumps({"n": g.n, "edges": g.edges})
+    a = g.edge_array
+    if not len(a):
+        return f'{{"n": {g.n}, "edges": []}}'
+    width = len(str(int(a[:, 1].max())))  # v > u, so the largest endpoint is a v
+    rows = np.zeros((len(a), 2 * width + 10), dtype=np.uint8)
+    rows[:, 0] = ord("[")
+    rows[:, width + 1 : width + 3] = rows[:, 2 * width + 3 : 2 * width + 5] = np.frombuffer(b", ", np.uint8)
+    for column, end in ((0, width + 1), (1, 2 * width + 3)):
+        q = a[:, column].copy()
+        for k in range(width):  # digit k, counted from the right
+            digit = (q % 10 + ord("0")).astype(np.uint8)
+            if k:
+                digit[q == 0] = 0
+            rows[:, end - 1 - k] = digit
+            q //= 10
+    rows[a[:, 2] < 0, 2 * width + 5] = ord("-")
+    rows[:, 2 * width + 6 :] = np.frombuffer(b"1], ", np.uint8)
+    text = rows[rows != 0].tobytes().decode("ascii")
+    return f'{{"n": {g.n}, "edges": [{text[:-2]}]}}'
 
 
 def loads(text: str) -> SignedGraph:

@@ -189,7 +189,7 @@ def _coordinate_moves(g: SignedGraph):
     Three moves: every edge once with ``src < dst``, every edge in both
     directions, and the identity ``(w, w, +1)``.
     """
-    src, dst, sign = np.array(g.edges, dtype=np.int64).reshape(-1, 3).T
+    src, dst, sign = g.edge_array.T
     stay = np.arange(g.n, dtype=np.int64)
     return (
         (src, dst, sign),
@@ -213,8 +213,9 @@ def neps(factors: Sequence[SignedGraph], basis: Basis) -> SignedGraph:
     ``src < dst`` and the later ones each edge in both directions, which
     yields every product edge once with ``u < v``.  Distinct patterns
     produce disjoint edge sets, so the patterns are concatenated without
-    deduplication (the graph constructor would reject any collision) and
-    sorted once into canonical order.
+    deduplication (the graph constructor would reject any collision),
+    sorted once into canonical order and handed to the constructor as one
+    (m, 3) int64 array.
     """
     factors = list(factors)
     if not factors:
@@ -227,7 +228,7 @@ def neps(factors: Sequence[SignedGraph], basis: Basis) -> SignedGraph:
     moves = [_coordinate_moves(f) for f in factors]
     us, vs, signs = [], [], []
     for pattern in basis.vectors:
-        if not all(f.edges for f, bit in zip(factors, pattern) if bit):
+        if not all(f.m for f, bit in zip(factors, pattern) if bit):
             continue  # an edgeless factor in the support: no edges, and no arrays to build
         lead = pattern.index(1)
         fu = fv = np.zeros(1, dtype=np.int64)
@@ -244,10 +245,7 @@ def neps(factors: Sequence[SignedGraph], basis: Basis) -> SignedGraph:
         return SignedGraph(n)
     u, v, s = np.concatenate(us), np.concatenate(vs), np.concatenate(signs)
     order = np.lexsort((v, u))
-    # a list, not a tuple: tuple(zip(...)) measured about 1.5x slower here
-    # with the garbage collector on, and the constructor copies either way
-    edges = list(zip(u[order].tolist(), v[order].tolist(), s[order].tolist()))
-    return SignedGraph(n, edges)
+    return SignedGraph(n, np.array((u[order], v[order], s[order])).T)
 
 
 def cartesian(factors: Sequence[SignedGraph]) -> SignedGraph:

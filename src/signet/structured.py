@@ -30,7 +30,6 @@ module (a test double, a tracer) is the one that runs.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,14 +84,14 @@ class SpectralNode:
     def c_b(self) -> int:
         return self.balance[2]
 
-    @cached_property
+    @graphs.lazy_field
     def components(self) -> tuple[tuple[int, bool, bool, int], ...]:
         b, c, c_b = self.balance
         if c <= 1:
             return ((self.m, b == 1, c_b == 1, self.max_degree),) * c
         return self._built.components
 
-    @cached_property
+    @graphs.lazy_field
     def _built(self) -> SpectralNode:
         """The dense leaf of the built graph, for the fields no rule gives."""
         return dense_node(self.graph)
@@ -122,7 +121,7 @@ class _Leaf(SpectralNode):
             self.max_degree = self.min_degree = n - 1
         self.balance = (b, 1, c_b)
 
-    @cached_property
+    @graphs.lazy_field
     def adjacency(self) -> np.ndarray:
         if self.kind == "path":
             values = formulas.path_spectrum(self.n)
@@ -132,7 +131,7 @@ class _Leaf(SpectralNode):
             values = formulas.complete_spectrum(self.n, self.x)
         return np.sort(values)
 
-    @cached_property
+    @graphs.lazy_field
     def laplacian(self) -> np.ndarray:
         if self.kind == "path":
             values = formulas.path_laplacian_spectrum(self.n)
@@ -142,7 +141,7 @@ class _Leaf(SpectralNode):
             values = formulas.complete_laplacian_spectrum(self.n, self.x)
         return np.sort(values)
 
-    @cached_property
+    @graphs.lazy_field
     def graph(self) -> graphs.SignedGraph:
         return getattr(families, self.kind)(self.n, self.x)  # families.path, .cycle, .complete
 
@@ -151,40 +150,40 @@ class _Dense(SpectralNode):
     def __init__(self, g: graphs.SignedGraph):
         self.graph, self.n, self.m = g, g.n, g.m
 
-    @cached_property
+    @graphs.lazy_field
     def _matrix(self) -> np.ndarray:
         return graphs.adjacency(self.graph)
 
-    @cached_property
+    @graphs.lazy_field
     def adjacency(self) -> np.ndarray:
         return np.asarray(spectra.eigenvalues(self._matrix).values)
 
-    @cached_property
+    @graphs.lazy_field
     def laplacian(self) -> np.ndarray:
         return np.asarray(spectra.eigenvalues(graphs.laplacian_from_adjacency(self._matrix)).values)
 
-    @cached_property
+    @graphs.lazy_field
     def _degrees(self) -> list[int]:
         return graphs.degrees(self.graph).tolist()
 
-    @cached_property
+    @graphs.lazy_field
     def max_degree(self) -> int:
         return max(self._degrees, default=0)
 
-    @cached_property
+    @graphs.lazy_field
     def min_degree(self) -> int:
         return min(self._degrees, default=0)
 
-    @cached_property
+    @graphs.lazy_field
     def _report(self) -> graphs.BalanceReport:
         return graphs.balance_report(self.graph)
 
-    @cached_property
+    @graphs.lazy_field
     def balance(self) -> tuple[int, int, int]:
         rep = self._report
         return rep.b, rep.c, rep.c_b
 
-    @cached_property
+    @graphs.lazy_field
     def components(self) -> tuple[tuple[int, bool, bool, int], ...]:
         deg = self._degrees
         return tuple(
@@ -206,11 +205,11 @@ class _Product(SpectralNode):
         """Sum over the basis of the product of the support's values."""
         return sum(math.prod(x for x, bit in zip(values, vec) if bit) for vec in self.basis.vectors)
 
-    @cached_property
+    @graphs.lazy_field
     def n(self) -> int:
         return math.prod(f.n for f in self.factors)
 
-    @cached_property
+    @graphs.lazy_field
     def m(self) -> int:
         # Pattern beta joins prod_{beta_i} 2 m_i * prod_{not beta_i} n_i ordered vertex pairs.
         return sum(
@@ -219,19 +218,19 @@ class _Product(SpectralNode):
 
     # The degree of (v_1, .., v_nu) is sum_beta prod_{beta_i} d_i(v_i), which
     # grows with every d_i: the extremes are taken at the factors' extremes.
-    @cached_property
+    @graphs.lazy_field
     def max_degree(self) -> int:
         return self._basis_sum([f.max_degree for f in self.factors]) if self.n else 0
 
-    @cached_property
+    @graphs.lazy_field
     def min_degree(self) -> int:
         return self._basis_sum([f.min_degree for f in self.factors]) if self.n else 0
 
-    @cached_property
+    @graphs.lazy_field
     def adjacency(self) -> np.ndarray:
         return np.sort(formulas.neps_sum([f.adjacency for f in self.factors], self.basis.vectors))
 
-    @cached_property
+    @graphs.lazy_field
     def laplacian(self) -> np.ndarray:
         if self.cartesian:
             return np.sort(formulas.neps_sum([f.laplacian for f in self.factors], self.basis.vectors))
@@ -240,14 +239,14 @@ class _Product(SpectralNode):
             return np.sort(float(k) - self.adjacency)
         return self._built.laplacian
 
-    @cached_property
+    @graphs.lazy_field
     def balance(self) -> tuple[int, int, int]:
         if self.cartesian:
             # A Cartesian product of components is balanced (bipartite) iff each is.
             return tuple(math.prod(f.balance[i] for f in self.factors) for i in range(3))
         return self._built.balance
 
-    @cached_property
+    @graphs.lazy_field
     def graph(self) -> graphs.SignedGraph:
         return products.neps([f.graph for f in self.factors], self.basis)
 
@@ -276,7 +275,7 @@ class _Line(SpectralNode):
     def __init__(self, base: SpectralNode):
         self.base = base
 
-    @cached_property
+    @graphs.lazy_field
     def laplacian_rule(self) -> str:
         """``regular``, ``path`` or ``dense``: what gives the Laplacian, size and degrees."""
         base = self.base
@@ -285,46 +284,46 @@ class _Line(SpectralNode):
         # A connected non-regular graph of maximum degree <= 2 is a path.
         return "path" if base.max_degree <= 2 and base.c == 1 else "dense"
 
-    @cached_property
+    @graphs.lazy_field
     def _source(self) -> SpectralNode:
         """The node holding the Laplacian, size and degrees over a non-regular base."""
         return leaf_node("path", self.base.m, 0) if self.laplacian_rule == "path" else self._built
 
-    @cached_property
+    @graphs.lazy_field
     def n(self) -> int:
         return self.base.m
 
-    @cached_property
+    @graphs.lazy_field
     def m(self) -> int:
         k = self.base.regular
         return self.base.n * k * (k - 1) // 2 if k is not None else self._source.m
 
-    @cached_property
+    @graphs.lazy_field
     def max_degree(self) -> int:
         k = self.base.regular
         if k is None:
             return self._source.max_degree
         return 2 * (k - 1) if self.base.m else 0  # the line graph of a k-regular graph is 2(k - 1)-regular
 
-    @cached_property
+    @graphs.lazy_field
     def min_degree(self) -> int:
         return self.max_degree if self.base.regular is not None else self._source.min_degree
 
-    @cached_property
+    @graphs.lazy_field
     def adjacency(self) -> np.ndarray:
         base = self.base
         return np.asarray(formulas.line_spectrum_general(base.laplacian, base.m, base.n, base.b), dtype=float)
 
-    @cached_property
+    @graphs.lazy_field
     def laplacian(self) -> np.ndarray:
         k = self.base.regular
         return np.sort(2.0 * (k - 1) - self.adjacency) if k is not None else self._source.laplacian
 
-    @cached_property
+    @graphs.lazy_field
     def balance(self) -> tuple[int, int, int]:
         return line_balance(self.base.components)
 
-    @cached_property
+    @graphs.lazy_field
     def graph(self) -> graphs.SignedGraph:
         return linegraph.line_graph(self.base.graph).graph
 

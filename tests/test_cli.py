@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import assert_multiset_close
 
+import signet
 from signet import formulas
 from signet.cli import main
 from signet.families import complete, cycle, grid, path
@@ -107,6 +111,25 @@ def test_out_of_memory_exits_two(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "signet: out of memory: Unable to allocate 5.86 GiB for an array\n"
+
+
+def test_reader_closing_the_pipe_early_exits_zero_quietly():
+    """`signet spectrum ... --csv | head -c 10`: the reader leaves after 10
+    bytes of a ~300 kB answer, which is no input error."""
+    src = os.path.dirname(os.path.dirname(signet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys; from signet.cli import main; sys.exit(main())"
+    argv = ["spectrum", "--family", "cycle:n=20000", "--csv"]
+    with subprocess.Popen(
+        [sys.executable, "-c", script, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert len(head) == 10
+    assert err == b""
+    assert code == 0
 
 
 def test_csv_output(capsys):

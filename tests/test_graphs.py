@@ -11,6 +11,7 @@ import pytest
 
 from conftest import TEST_SEED, assert_multiset_close
 
+import signet.graphs as graph_module
 from signet.families import complete, cycle, path, random_signed_graph
 from signet.graphs import (
     SignedGraph,
@@ -40,39 +41,55 @@ def test_edges_are_canonicalised_sorted():
     assert g.m == 2
 
 
-def test_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        SignedGraph(3, ((0, 0, 1),))  # loop
-    with pytest.raises(ValueError):
-        SignedGraph(3, ((1, 0, 1),))  # endpoints out of order
-    with pytest.raises(ValueError):
-        SignedGraph(3, ((0, 3, 1),))  # endpoint out of range
-    with pytest.raises(ValueError):
-        SignedGraph(3, ((0, 1, 2),))  # bad sign
-    with pytest.raises(ValueError):
-        SignedGraph(3, ((0, 1, 1), (0, 1, -1)))  # duplicate pair
+@pytest.fixture(params=["triples", "array", "short-array"])
+def in_form(request, monkeypatch):
+    """Edge triples as given, or as the int64 (m, 3) array that neps hands
+    over: checked in numpy whatever its length ("array"), or with the
+    default cut-off, below which a short array is checked edge by edge."""
+    if request.param == "array":
+        monkeypatch.setattr(graph_module, "ARRAY_MIN_EDGES", 0)
+
+    def convert(edges):
+        edges = tuple(edges)
+        return edges if request.param == "triples" else np.array(edges, dtype=np.int64).reshape(-1, 3)
+
+    return convert
+
+
+def test_rejects_bad_edges(in_form):
+    for edges, message in (
+        (((0, 0, 1),), "edge (0, 0, 1) violates 0 <= u < v < 3"),  # loop
+        (((1, 0, 1),), "edge (1, 0, 1) violates 0 <= u < v < 3"),  # endpoints out of order
+        (((0, 3, 1),), "edge (0, 3, 1) violates 0 <= u < v < 3"),  # endpoint out of range
+        (((-1, 1, 1),), "edge (-1, 1, 1) violates 0 <= u < v < 3"),  # negative endpoint
+        (((0, 1, 2),), "edge (0, 1, 2) has sign 2, expected +1 or -1"),  # bad sign
+        (((0, 2, 1), (0, 1, 0), (2, 1, 1)), "edge (0, 1, 0) has sign 0, expected +1 or -1"),  # first bad edge
+        (((0, 1, 1), (0, 1, -1)), "duplicate edge (0, 1)"),  # duplicate pair
+    ):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            SignedGraph(3, in_form(edges))
     with pytest.raises(ValueError):
         SignedGraph(-1)
 
 
-def test_constructor_sorts_any_input_order():
+def test_constructor_sorts_any_input_order(in_form):
     rng = np.random.default_rng(TEST_SEED + 30)
     for n in (0, 1, 5, 12, 30):
         g = random_signed_graph(rng, n, 0.4)
-        assert SignedGraph(n, reversed(g.edges)) == g
+        assert SignedGraph(n, in_form(reversed(g.edges))) == g
         shuffled = list(g.edges)
         rng.shuffle(shuffled)
-        assert SignedGraph(n, tuple(shuffled)).edges == g.edges
+        assert SignedGraph(n, in_form(shuffled)).edges == g.edges
 
 
-def test_duplicate_pair_is_named():
+def test_duplicate_pair_is_named(in_form):
     for edges, pair in (
         (((0, 1, 1), (0, 1, -1)), r"\(0, 1\)"),
         (((2, 3, 1), (0, 1, 1), (1, 2, -1), (0, 1, 1)), r"\(0, 1\)"),
         (((1, 3, -1), (0, 2, 1), (1, 3, 1)), r"\(1, 3\)"),
     ):
-        with pytest.raises(ValueError, match="duplicate edge " + pair):
-            SignedGraph(4, edges)
+        with pytest.raises(ValueError, match="^duplicate edge " + pair + "$"):
+            SignedGraph(4, in_form(edges))
 
 
 def test_malformed_edge_is_named():
@@ -87,6 +104,44 @@ def test_constructor_keeps_canonical_tuples_and_converts_the_rest():
     assert g.edges == ((0, 1, -1), (1, 2, 1), (2, 3, 1))
     assert g.edges[0] is kept
     assert all(type(e) is tuple and all(type(x) is int for x in e) for e in g.edges)
+
+
+def test_array_graph_keeps_a_read_only_copy_and_derives_int_triples(monkeypatch):
+    monkeypatch.setattr(graph_module, "ARRAY_MIN_EDGES", 0)
+    given = np.array([[1, 2, 1], [0, 1, -1]], dtype=np.int64)
+    g = SignedGraph(3, given)
+    given[0, 2] = -1  # the caller's array is not the graph's
+    assert g.m == 2
+    assert not g.edge_array.flags.writeable
+    assert g.edges == ((0, 1, -1), (1, 2, 1))
+    assert all(type(e) is tuple and all(type(x) is int for x in e) for e in g.edges)
+
+
+def test_short_array_is_kept_as_triples():
+    cut = graph_module.ARRAY_MIN_EDGES
+    path_edges = np.array([[u, u + 1, 1] for u in range(cut)], dtype=np.int64)
+    assert "edges" in vars(SignedGraph(cut + 1, path_edges[:-1]))
+    assert "edges" not in vars(SignedGraph(cut + 1, path_edges))
+
+
+def test_array_and_triple_forms_agree_on_equality_and_hash(monkeypatch):
+    monkeypatch.setattr(graph_module, "ARRAY_MIN_EDGES", 0)
+    rng = np.random.default_rng(TEST_SEED + 32)
+    for n in (0, 1, 6, 25):
+        g = random_signed_graph(rng, n, 0.5)
+        h = SignedGraph(n, np.array(g.edges, dtype=np.int64).reshape(-1, 3))
+        assert "edges" not in vars(h)
+        assert h == g and g == h
+        assert hash(h) == hash(g)
+        assert h.m == g.m
+        assert dumps(h) == dumps(g)
+        assert to_json_dict(h) == to_json_dict(g)
+        expected = np.zeros((n, n), dtype=np.int64)
+        for u, v, s in g.edges:
+            expected[u, v] = expected[v, u] = s
+        assert np.array_equal(adjacency(h), expected)
+        assert np.array_equal(degrees(h), degrees(g))
+    assert SignedGraph(3, np.array([[0, 1, 1]], dtype=np.int64)) != SignedGraph(3, ((0, 1, -1),))
 
 
 def test_empty_graph_is_allowed():
@@ -298,6 +353,24 @@ def test_dumps_equals_encoding_of_the_json_dict():
     graphs += [random_signed_graph(rng, int(rng.integers(1, 40)), 0.3) for _ in range(20)]
     for g in graphs:
         assert dumps(g) == json.dumps(to_json_dict(g))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 99, 100, 101, 2**40])
+def test_dumps_writes_every_digit_width(n, in_form):
+    """The byte writer against the encoder: empty, all-negative and random
+    edge sets, endpoints from 0 to n - 1."""
+    rng = np.random.default_rng([TEST_SEED % 2**32, n])
+    pairs = {(0, n - 1)} if n >= 2 else set()
+    for _ in range(60 if n >= 2 else 0):
+        u, v = sorted(int(x) for x in rng.integers(0, n, size=2))
+        if u < v:
+            pairs.add((u, v))
+    pairs = sorted(pairs)
+    for edges in ((), [(u, v, -1) for u, v in pairs], [(u, v, int(rng.choice((-1, 1)))) for u, v in pairs]):
+        g = SignedGraph(n, in_form(edges))
+        text = dumps(g)
+        assert text == json.dumps(to_json_dict(g))
+        assert loads(text) == g
 
 
 def test_json_dict_shape():

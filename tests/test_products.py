@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from conftest import TEST_SEED, assert_multiset_close
 
 from signet.families import complete, cycle, path, random_signed_graph
-from signet.graphs import SignedGraph, adjacency, balance_report, degree_matrix
+import signet.products as products
+from signet.graphs import SignedGraph, adjacency, balance_report, degree_matrix, dumps, loads, to_json_dict
 from signet.products import (
     Basis,
     ProductVertexMap,
@@ -28,6 +30,24 @@ from signet.products import (
     symmetric_p,
 )
 from signet.spectra import adjacency_spectrum, eigenvalues, energy, laplacian_energy
+
+
+@pytest.fixture(autouse=True)
+def _every_product_writes_its_json_encoding(monkeypatch):
+    """Every graph neps builds in this module, dumped by the byte writer and by
+    the JSON encoder: the same text, and it reads back as the same graph."""
+    built = []
+
+    def recording(n, edges=()):
+        built.append(SignedGraph(n, edges))
+        return built[-1]
+
+    monkeypatch.setattr(products, "SignedGraph", recording)
+    yield
+    for g in built:
+        text = dumps(g)
+        assert text == json.dumps(to_json_dict(g))
+        assert loads(text) == g
 
 
 # --- bases ------------------------------------------------------------------
@@ -199,8 +219,6 @@ def test_neps_order_limits():
 
 
 def test_neps_hands_the_constructor_sorted_edges(monkeypatch):
-    import signet.products as products
-
     received = []
 
     def recording(n, edges):
@@ -213,9 +231,11 @@ def test_neps_hands_the_constructor_sorted_edges(monkeypatch):
     for basis in (p_sum_basis(3, 2), p_sum_basis(3, 1), Basis(3, ((1, 1, 1), (1, 0, 0), (0, 1, 1)))):
         g = neps(factors, basis)
         edges = received.pop()
-        assert list(edges) == sorted(edges)
-        assert tuple(edges) == g.edges
-        assert all(type(x) is int for e in edges for x in e)
+        assert isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape == (g.m, 3)
+        pairs = [tuple(e) for e in edges[:, :2].tolist()]
+        assert pairs == sorted(set(pairs))  # lexsorted and distinct
+        assert tuple(map(tuple, edges.tolist())) == g.edges
+        assert all(type(x) is int for e in g.edges for x in e)
 
 
 def test_all_positive_factors_give_all_positive_product():
