@@ -250,7 +250,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader stopped early (`signet ... | head`); the answer was not
         # bad input.  Point stdout at devnull so the final flush stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
     except EigensolverError as exc:
         print(f"signet: numerical failure: {exc}", file=sys.stderr)

@@ -62,7 +62,6 @@ class lazy_field:
 
 _INT64_MAX = np.iinfo(np.int64).max
 # An int64 edge array with fewer rows is checked edge by edge and kept as
-# triples, and a graph with fewer edges gets its adjacency matrix from the
 # triples: below this size the fixed cost of a dozen numpy calls exceeds
 # the per-edge loop's.
 ARRAY_MIN_EDGES = 32
@@ -79,12 +78,13 @@ class SignedGraph:
     builds.  The graph keeps the form it was given and derives the other on
     first use: ``edges`` as a tuple of int triples, ``edge_array`` as a
     read-only int64 array.  An array shorter than ``ARRAY_MIN_EDGES`` rows
-    is kept as triples.
+    is kept as triples; ``from_array`` tells which form was kept.
     """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]  # a lazy_field below
     m: int = field(init=False, repr=False, compare=False)
+    from_array: bool = field(init=False, repr=False, compare=False)  # kept as the array it was given
 
     def __init__(self, n, edges=()):
         object.__setattr__(self, "n", n)
@@ -106,11 +106,13 @@ class SignedGraph:
                 object.__delattr__(self, "edges")  # derived from the array when asked for
                 object.__setattr__(self, "edge_array", array)
                 object.__setattr__(self, "m", len(array))
+                object.__setattr__(self, "from_array", True)
                 return
             given = zip(*given.T.tolist())
         edges = _canonical_tuples(n, given)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "m", len(edges))
+        object.__setattr__(self, "from_array", False)
 
     @lazy_field
     def edges(self) -> tuple[tuple[int, int, int], ...]:
@@ -156,7 +158,7 @@ def _canonical_array(n: int, a: np.ndarray) -> np.ndarray:
     """Check an int64 (m, 3) edge array as :func:`_canonical_tuples` checks
     triples, with the same messages, and return a sorted read-only copy."""
     u, v, s = a.T
-    bad = (u < 0) | (u >= v) | (s * s != 1)
+    bad = (u < 0) | (u >= v) | ((s != 1) & (s != -1))
     if n <= _INT64_MAX:
         bad |= v >= n
     if bad.any():
@@ -215,9 +217,10 @@ class BalanceReport:
 
 
 def adjacency(g: SignedGraph) -> np.ndarray:
-    """Signed adjacency matrix with entries in {-1, 0, 1}."""
+    """Signed adjacency matrix with entries in {-1, 0, 1}, written from the
+    form the graph was built from."""
     a = np.zeros((g.n, g.n), dtype=np.int64)
-    if g.m >= ARRAY_MIN_EDGES:
+    if g.from_array:
         u, v, s = g.edge_array.T
         a[u, v] = s
         a[v, u] = s

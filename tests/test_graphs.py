@@ -31,6 +31,8 @@ from signet.graphs import (
 )
 from signet.spectra import adjacency_spectrum
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 # --- construction -----------------------------------------------------------
 
@@ -50,8 +52,9 @@ def in_form(request, monkeypatch):
         monkeypatch.setattr(graph_module, "ARRAY_MIN_EDGES", 0)
 
     def convert(edges):
-        edges = tuple(edges)
-        return edges if request.param == "triples" else np.array(edges, dtype=np.int64).reshape(-1, 3)
+        if request.param == "triples":
+            return edges  # as given, so a one-shot iterator reaches the constructor
+        return np.array(tuple(edges), dtype=np.int64).reshape(-1, 3)
 
     return convert
 
@@ -63,6 +66,7 @@ def test_rejects_bad_edges(in_form):
         (((0, 3, 1),), "edge (0, 3, 1) violates 0 <= u < v < 3"),  # endpoint out of range
         (((-1, 1, 1),), "edge (-1, 1, 1) violates 0 <= u < v < 3"),  # negative endpoint
         (((0, 1, 2),), "edge (0, 1, 2) has sign 2, expected +1 or -1"),  # bad sign
+        (((0, 1, _INT64_MAX),), f"edge (0, 1, {_INT64_MAX}) has sign {_INT64_MAX}, expected +1 or -1"),  # squares to 1 mod 2^64
         (((0, 2, 1), (0, 1, 0), (2, 1, 1)), "edge (0, 1, 0) has sign 0, expected +1 or -1"),  # first bad edge
         (((0, 1, 1), (0, 1, -1)), "duplicate edge (0, 1)"),  # duplicate pair
     ):
@@ -120,8 +124,17 @@ def test_array_graph_keeps_a_read_only_copy_and_derives_int_triples(monkeypatch)
 def test_short_array_is_kept_as_triples():
     cut = graph_module.ARRAY_MIN_EDGES
     path_edges = np.array([[u, u + 1, 1] for u in range(cut)], dtype=np.int64)
-    assert "edges" in vars(SignedGraph(cut + 1, path_edges[:-1]))
-    assert "edges" not in vars(SignedGraph(cut + 1, path_edges))
+    short, full = SignedGraph(cut + 1, path_edges[:-1]), SignedGraph(cut + 1, path_edges)
+    assert "edges" in vars(short) and not short.from_array
+    assert "edges" not in vars(full) and full.from_array
+
+
+def test_adjacency_of_a_triple_graph_makes_no_array():
+    n = 2 * graph_module.ARRAY_MIN_EDGES
+    g = SignedGraph(n, tuple((u, u + 1, (-1) ** u) for u in range(n - 1)))
+    a = adjacency(g)
+    assert "edge_array" not in vars(g)
+    assert np.array_equal(a, adjacency(SignedGraph(n, np.array(g.edges, dtype=np.int64))))
 
 
 def test_array_and_triple_forms_agree_on_equality_and_hash(monkeypatch):
