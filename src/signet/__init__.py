@@ -4,7 +4,9 @@ The package is organised around a small immutable :class:`SignedGraph` value
 type.  Matrix views (adjacency, Laplacian, incidence), NEPS-style products,
 signed line graphs, closed-form spectra for the standard families and dense
 symmetric eigenvalues (LAPACK) are layered on top, with brute-force oracles,
-among them a pure-Python eigensolver, available for cross-checking.
+among them a pure-Python eigensolver, available for cross-checking.  Spectra
+and energies of a graph come from :mod:`signet.structured`; a built graph is
+answered by ``structured.dense_node``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .products import (
     Basis,
     cartesian,
     cartesian_basis,
-    kron,
     kron_sum_over_basis,
     neps,
     p_sum_basis,
@@ -55,12 +56,7 @@ from .products import (
 )
 from .spectra import (
     EigensolverError,
-    Spectrum,
-    adjacency_spectrum,
     eigenvalues,
-    energy,
-    laplacian_energy,
-    laplacian_spectrum,
     multiplicity_of,
 )
 
@@ -74,9 +70,7 @@ __all__ = [
     "FamilySpec",
     "LineGraphResult",
     "SignedGraph",
-    "Spectrum",
     "adjacency",
-    "adjacency_spectrum",
     "balance_report",
     "build_family",
     "cartesian",
@@ -88,16 +82,12 @@ __all__ = [
     "degrees",
     "dumps",
     "eigenvalues",
-    "energy",
     "from_family_string",
     "from_json_dict",
     "grid",
     "incidence",
-    "kron",
     "kron_sum_over_basis",
     "laplacian",
-    "laplacian_energy",
-    "laplacian_spectrum",
     "line_graph",
     "loads",
     "multiplicity_of",

@@ -432,4 +432,8 @@ def dumps(g: SignedGraph) -> str:
 
 
 def loads(text: str) -> SignedGraph:
-    return from_json_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("graph document is nested too deeply") from None
+    return from_json_dict(obj)

@@ -10,6 +10,7 @@ the classical unsigned line graph, and every eigenvalue is at most 2.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .graphs import SignedGraph
@@ -19,14 +20,9 @@ __all__ = ["LineGraphResult", "line_graph"]
 
 @dataclass(frozen=True)
 class LineGraphResult:
-    """Line graph plus, for each of its edges, the shared endpoint in the
-    source graph that produced it."""
+    """The line graph built by :func:`line_graph`."""
 
     graph: SignedGraph
-    edge_origin: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "edge_origin", dict(self.edge_origin))
 
 
 def line_graph(g: SignedGraph) -> LineGraphResult:
@@ -35,27 +31,19 @@ def line_graph(g: SignedGraph) -> LineGraphResult:
     Vertices are edge indices of g in stored order.  For source edge
     (u, v, s) the incidence entry is +1 at u and -s at v; adjacent edge
     pairs get sign -eta_w(e) * eta_w(f) at their shared endpoint w.  In a
-    simple graph two distinct edges share at most one endpoint, which the
-    construction asserts.
+    simple graph two distinct edges share at most one endpoint, so each
+    pair is met once.  Incidences are collected at edge endpoints only, so
+    the work does not grow with isolated vertices.
     """
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    incident: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     for k, (u, v, s) in enumerate(g.edges):
         incident[u].append((k, 1))
         incident[v].append((k, -s))
 
     edges = []
-    origin: dict[tuple[int, int], int] = {}
-    for w in range(g.n):
-        here = incident[w]
-        for a in range(len(here)):
-            e, eta_e = here[a]
-            for b in range(a + 1, len(here)):
-                f, eta_f = here[b]
-                key = (e, f) if e < f else (f, e)
-                if key in origin:
-                    raise AssertionError(
-                        f"edges {key} share two endpoints; graph is not simple"
-                    )
-                origin[key] = w
-                edges.append((key[0], key[1], -eta_e * eta_f))
-    return LineGraphResult(SignedGraph(g.m, tuple(edges)), origin)
+    for here in incident.values():
+        # Edge indices were appended in increasing order, so e < f.
+        for a, (e, eta_e) in enumerate(here):
+            for f, eta_f in here[a + 1 :]:
+                edges.append((e, f, -eta_e * eta_f))
+    return LineGraphResult(SignedGraph(g.m, tuple(edges)))

@@ -1,4 +1,4 @@
-"""Kronecker algebra and basis-parameterised products of signed graphs.
+"""Basis-parameterised (NEPS) products of signed graphs.
 
 A product basis is a set of distinct nonzero 0/1 vectors of length nu whose
 supports jointly cover every coordinate.  Two product vertices are adjacent
@@ -6,6 +6,8 @@ when their coordinatewise difference pattern lies in the basis, and the edge
 sign is the product of the factor edge signs over the pattern's support.
 The unit-vector basis gives the Cartesian product, the all-ones singleton
 the tensor (strong) product, and the weight-p vectors the symmetric p-sum.
+:func:`kron_sum_over_basis` builds the product adjacency as a matrix, the
+referee :func:`neps` is checked against.
 """
 
 from __future__ import annotations
@@ -18,22 +20,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import SignedGraph, degree_matrix
+from .graphs import SignedGraph
 
 __all__ = [
     "Basis",
-    "ProductVertexMap",
     "cartesian_basis",
     "strong_basis",
     "p_sum_basis",
-    "kron",
     "kron_sum_over_basis",
     "neps",
     "cartesian",
     "strong",
     "symmetric_p",
-    "neps_degree_matrix",
-    "average_degree",
 ]
 
 
@@ -93,56 +91,9 @@ def p_sum_basis(nu: int, p: int) -> Basis:
     return Basis(nu, tuple(vectors))
 
 
-@dataclass(frozen=True)
-class ProductVertexMap:
-    """Row-major bijection between coordinate tuples and flat vertex ids.
-
-    The flat index is ((j_1 * n_2 + j_2) * n_3 + ...) * n_nu + j_nu, which
-    matches the index order of chained Kronecker products.
-    """
-
-    orders: tuple[int, ...]
-
-    def __post_init__(self):
-        orders = tuple(operator.index(x) for x in self.orders)
-        if not orders:
-            raise ValueError("need at least one factor order")
-        if any(x < 0 for x in orders):
-            raise ValueError("factor orders must be nonnegative")
-        object.__setattr__(self, "orders", orders)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.orders)
-
-    def to_flat(self, coords: Sequence[int]) -> int:
-        if len(coords) != len(self.orders):
-            raise ValueError("coordinate arity mismatch")
-        flat = 0
-        for j, order in zip(coords, self.orders):
-            if not 0 <= j < order:
-                raise ValueError(f"coordinate {j} out of range 0..{order - 1}")
-            flat = flat * order + j
-        return flat
-
-    def to_coords(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.size:
-            raise ValueError(f"flat index {flat} out of range")
-        coords = []
-        for order in reversed(self.orders):
-            flat, j = divmod(flat, order)
-            coords.append(j)
-        return tuple(reversed(coords))
-
-
 # ---------------------------------------------------------------------------
 # matrix side
 # ---------------------------------------------------------------------------
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; eigenvalues multiply pairwise for symmetric input."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def kron_sum_over_basis(mats: Sequence, patterns: Basis | Iterable[Sequence[int]]) -> np.ndarray:
@@ -201,13 +152,13 @@ def _coordinate_moves(g: SignedGraph):
 def neps(factors: Sequence[SignedGraph], basis: Basis) -> SignedGraph:
     """General basis-parameterised product of signed graphs.
 
-    Product vertex (j_1, .., j_nu) has the flat index of
-    :class:`ProductVertexMap`, the index order of chained Kronecker products,
-    so the edges of one pattern are the nonzero upper-triangle entries of
-    its Kronecker term.  They are generated by index arithmetic, one
-    broadcast per factor extending the flat endpoints and the sign product:
-    a factor outside the pattern's support contributes the identity
-    ``(w, w, +1)``, a factor inside it its edges.  The first support
+    Product vertex (j_1, .., j_nu) has the row-major flat index
+    ((j_1 * n_2 + j_2) * n_3 + ...) * n_nu + j_nu, the index order of
+    chained Kronecker products, so the edges of one pattern are the nonzero
+    upper-triangle entries of its Kronecker term.  They are generated by
+    index arithmetic, one broadcast per factor extending the flat endpoints
+    and the sign product: a factor outside the pattern's support contributes
+    the identity ``(w, w, +1)``, a factor inside it its edges.  The first support
     coordinate is the first where the endpoints differ, so it alone decides
     which flat index is smaller; that factor contributes each edge once with
     ``src < dst`` and the later ones each edge in both directions, which
@@ -258,23 +209,3 @@ def strong(factors: Sequence[SignedGraph]) -> SignedGraph:
 
 def symmetric_p(factors: Sequence[SignedGraph], p: int) -> SignedGraph:
     return neps(factors, p_sum_basis(len(list(factors)), p))
-
-
-def neps_degree_matrix(factors: Sequence[SignedGraph], basis: Basis) -> np.ndarray:
-    """Degree matrix of the product from the factor degree matrices."""
-    factors = list(factors)
-    if basis.nu != len(factors):
-        raise ValueError(f"basis arity {basis.nu} does not match {len(factors)} factors")
-    return kron_sum_over_basis([degree_matrix(f) for f in factors], basis)
-
-
-def average_degree(factors: Sequence[SignedGraph], basis: Basis) -> float:
-    """Average degree of the product from factor average degrees."""
-    factors = list(factors)
-    if basis.nu != len(factors):
-        raise ValueError(f"basis arity {basis.nu} does not match {len(factors)} factors")
-    d_bars = [2.0 * f.m / f.n if f.n else 0.0 for f in factors]
-    total = 0.0
-    for pattern in basis.vectors:
-        total += math.prod(d for d, bit in zip(d_bars, pattern) if bit)
-    return total

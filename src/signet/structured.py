@@ -21,7 +21,8 @@ on first use, bottom-up, by the cheapest exact rule:
   2(k - 1) - lambda over a k-regular base, the path closed form over a path,
   and otherwise the dense leaf of the built line graph.
 - **dense leaf**: LAPACK on a built graph, and its breadth-first balance
-  sweep.  Only dense leaves solve.
+  sweep.  Only dense leaves solve, and :func:`dense_node` is the one route
+  from a built graph to its spectra and energies.
 
 Modules are called through their attributes, so a function replaced on its
 module (a test double, a tracer) is the one that runs.
@@ -102,8 +103,7 @@ class SpectralNode:
 
     @property
     def laplacian_energy(self) -> float:
-        d_bar = 2.0 * self.m / self.n if self.n else 0.0
-        return spectra.laplacian_energy_from_spectrum(self.laplacian.tolist(), d_bar)
+        return spectra.laplacian_energy_from_spectrum(self.laplacian.tolist(), self.m)
 
 
 class _Leaf(SpectralNode):
@@ -156,11 +156,11 @@ class _Dense(SpectralNode):
 
     @graphs.lazy_field
     def adjacency(self) -> np.ndarray:
-        return np.asarray(spectra.eigenvalues(self._matrix).values)
+        return spectra.eigenvalues(self._matrix)
 
     @graphs.lazy_field
     def laplacian(self) -> np.ndarray:
-        return np.asarray(spectra.eigenvalues(graphs.laplacian_from_adjacency(self._matrix)).values)
+        return spectra.eigenvalues(graphs.laplacian_from_adjacency(self._matrix))
 
     @graphs.lazy_field
     def _degrees(self) -> list[int]:

@@ -71,7 +71,7 @@ class _Solves:
         key = (matrix.shape, data.tobytes())
         values = self._seen.get(key)
         if values is None:
-            values = self._seen[key] = np.array(eigenvalues(matrix).values)
+            values = self._seen[key] = eigenvalues(matrix)
         return values
 
     def adjacency(self, g: SignedGraph) -> np.ndarray:
@@ -84,7 +84,7 @@ class _Solves:
         return energy_from_spectrum(self.adjacency(g))
 
     def laplacian_energy(self, g: SignedGraph) -> float:
-        return laplacian_energy_from_spectrum(self.laplacian(g), 2.0 * g.m / g.n if g.n else 0.0)
+        return laplacian_energy_from_spectrum(self.laplacian(g), g.m)
 
 
 def _multiset_close(a, b, tol: float = 1e-8) -> bool:

@@ -113,16 +113,20 @@ def test_out_of_memory_exits_two(monkeypatch, capsys):
     assert err == "signet: out of memory: Unable to allocate 5.86 GiB for an array\n"
 
 
+def _signet_command(*argv, prelude=""):
+    """A fresh interpreter running ``prelude`` and then ``signet *argv``, and
+    its environment."""
+    src = os.path.dirname(os.path.dirname(signet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = prelude + "import sys; from signet.cli import main; sys.exit(main())"
+    return [sys.executable, "-c", script, *argv], env
+
+
 def test_reader_closing_the_pipe_early_exits_zero_quietly():
     """`signet spectrum ... --csv | head -c 10`: the reader leaves after 10
     bytes of a ~300 kB answer, which is no input error."""
-    src = os.path.dirname(os.path.dirname(signet.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script = "import sys; from signet.cli import main; sys.exit(main())"
-    argv = ["spectrum", "--family", "cycle:n=20000", "--csv"]
-    with subprocess.Popen(
-        [sys.executable, "-c", script, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-    ) as proc:
+    command, env = _signet_command("spectrum", "--family", "cycle:n=20000", "--csv")
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         head = proc.stdout.read(10)
         proc.stdout.close()
         err = proc.stderr.read()
@@ -133,13 +137,13 @@ def test_reader_closing_the_pipe_early_exits_zero_quietly():
 
 
 def test_csv_output(capsys):
-    from signet.spectra import adjacency_spectrum
+    from signet.structured import dense_node
 
     code, out, _ = run(capsys, "spectrum", "--family", "cycle:n=5", "--csv")
     assert code == 0
     lines = out.strip().splitlines()
     # one eigenvalue per line, printed to 12 significant digits
-    assert lines == ["%.12g" % v for v in adjacency_spectrum(cycle(5, 0)).values]
+    assert lines == ["%.12g" % v for v in dense_node(cycle(5, 0)).adjacency]
     golden = [2.0 * math.cos(2.0 * j * math.pi / 5) for j in range(1, 6)]
     assert_multiset_close([float(x) for x in lines], golden, tol=1e-8)
 
@@ -280,6 +284,28 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--file", str(doc))
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "line"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 200000)
+    code, out, err = run(capsys, command, "--file", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err == "signet: graph document is nested too deeply\n"
+
+
+def test_line_of_a_huge_edgeless_graph_is_immediate(tmp_path):
+    """The line graph's work grows with the edges, not with n.  The child
+    caps its own address space at 512 MiB, so work that grows with n fails
+    with an out-of-memory exit instead of filling the machine."""
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"n": 100000000000000000000000000000, "edges": []}')
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
+    command, env = _signet_command("line", "--file", str(doc), prelude=cap)
+    proc = subprocess.run(command, capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS="1"), timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b'{"n": 0, "edges": []}\n', b"")
 
 
 def test_verify_command_runs_suites(capsys):

@@ -21,7 +21,7 @@ from signet.families import (
     torus,
 )
 from signet.graphs import SignedGraph, balance_report
-from signet.spectra import adjacency_spectrum
+from signet.structured import dense_node
 
 
 def test_path_examples():
@@ -45,9 +45,9 @@ def test_cycle_examples():
 
 
 def test_path_spectrum_is_signature_independent():
-    base = adjacency_spectrum(path(5, 0)).values
+    base = dense_node(path(5, 0)).adjacency
     for r in range(1, 5):
-        assert_multiset_close(adjacency_spectrum(path(5, r)).values, base, tol=1e-8)
+        assert_multiset_close(dense_node(path(5, r)).adjacency, base, tol=1e-8)
 
 
 def test_grid_is_positive_square():
@@ -60,7 +60,7 @@ def test_grid_is_positive_square():
         degs[v] += 1
     assert degs == [2, 2, 2, 2]
     assert_multiset_close(
-        adjacency_spectrum(g).values, [-2.0, 0.0, 0.0, 2.0], tol=1e-8
+        dense_node(g).adjacency, [-2.0, 0.0, 0.0, 2.0], tol=1e-8
     )
 
 

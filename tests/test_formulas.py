@@ -23,13 +23,7 @@ from signet.families import (
 )
 from signet.graphs import SignedGraph, balance_report, negate
 from signet.linegraph import line_graph
-from signet.spectra import (
-    adjacency_spectrum,
-    energy,
-    energy_from_spectrum,
-    laplacian_energy,
-    laplacian_spectrum,
-)
+from signet.spectra import energy_from_spectrum
 from signet.structured import dense_node, spectral_node
 
 
@@ -53,8 +47,8 @@ def test_path_formulas_match_solver_all_signatures():
         expected_lap = formulas.path_laplacian_spectrum(n)
         for r in range(n):
             g = path(n, r)
-            assert_multiset_close(adjacency_spectrum(g).values, expected)
-            assert_multiset_close(laplacian_spectrum(g).values, expected_lap)
+            assert_multiset_close(dense_node(g).adjacency, expected)
+            assert_multiset_close(dense_node(g).laplacian, expected_lap)
 
 
 def test_cycle_spectrum_small_values():
@@ -77,8 +71,8 @@ def test_cycle_laplacian_zero_iff_even_signature():
             has_zero = any(abs(v) <= 1e-9 for v in lap)
             assert has_zero == (r % 2 == 0)
             g = cycle(n, r)
-            assert_multiset_close(laplacian_spectrum(g).values, lap)
-            assert_multiset_close(adjacency_spectrum(g).values, formulas.cycle_spectrum(n, r))
+            assert_multiset_close(dense_node(g).laplacian, lap)
+            assert_multiset_close(dense_node(g).adjacency, formulas.cycle_spectrum(n, r))
 
 
 # --- two-dimensional grids (structured nodes) --------------------------------
@@ -98,10 +92,10 @@ def test_grid_formula_values_and_energies():
         for r1 in range(m):
             for r2 in range(n):
                 g = grid(m, r1, n, r2)
-                assert_multiset_close(adjacency_spectrum(g).values, node.adjacency)
-                assert_multiset_close(laplacian_spectrum(g).values, node.laplacian)
-                assert energy(g) == pytest.approx(node.energy, abs=1e-7)
-                assert laplacian_energy(g) == pytest.approx(
+                assert_multiset_close(dense_node(g).adjacency, node.adjacency)
+                assert_multiset_close(dense_node(g).laplacian, node.laplacian)
+                assert dense_node(g).energy == pytest.approx(node.energy, abs=1e-7)
+                assert dense_node(g).laplacian_energy == pytest.approx(
                     node.laplacian_energy, abs=1e-7
                 )
         assert 2.0 * node.m / node.n == pytest.approx(4.0 - 2.0 / m - 2.0 / n)
@@ -116,10 +110,10 @@ def test_cylinder_formula_matches_solver():
                     if r2 > n - 1:
                         continue
                     g = cylinder(m, r1, n, r2)
-                    assert_multiset_close(adjacency_spectrum(g).values, node.adjacency)
-                    assert_multiset_close(laplacian_spectrum(g).values, node.laplacian)
-                    assert energy(g) == pytest.approx(node.energy, abs=1e-7)
-                    assert laplacian_energy(g) == pytest.approx(
+                    assert_multiset_close(dense_node(g).adjacency, node.adjacency)
+                    assert_multiset_close(dense_node(g).laplacian, node.laplacian)
+                    assert dense_node(g).energy == pytest.approx(node.energy, abs=1e-7)
+                    assert dense_node(g).laplacian_energy == pytest.approx(
                         node.laplacian_energy, abs=1e-7
                     )
 
@@ -131,10 +125,10 @@ def test_torus_formula_and_regular_energy_identity():
                 for r2 in (0, 1):
                     node = _node(f"torus:m={m},r1={r1},n={n},r2={r2}")
                     g = torus(m, r1, n, r2)
-                    assert_multiset_close(adjacency_spectrum(g).values, node.adjacency)
-                    assert_multiset_close(laplacian_spectrum(g).values, node.laplacian)
+                    assert_multiset_close(dense_node(g).adjacency, node.adjacency)
+                    assert_multiset_close(dense_node(g).laplacian, node.laplacian)
                     assert node.energy == pytest.approx(node.laplacian_energy, abs=1e-10)
-                    assert energy(g) == pytest.approx(node.energy, abs=1e-7)
+                    assert dense_node(g).energy == pytest.approx(node.energy, abs=1e-7)
                     zero = any(abs(v) <= 1e-9 for v in node.laplacian)
                     assert zero == (r1 % 2 == 0 and r2 % 2 == 0)
 
@@ -144,12 +138,12 @@ def test_torus_formula_and_regular_energy_identity():
 
 def test_line_spectrum_general_tree_case():
     star = SignedGraph(4, ((0, 1, 1), (0, 2, -1), (0, 3, 1)))
-    lap = sorted(laplacian_spectrum(star).values)
+    lap = sorted(dense_node(star).laplacian)
     got = formulas.line_spectrum_general(lap, star.m, star.n, 1)
     # m - n + b = 0: no extra eigenvalue 2 appears
     assert len(got) == star.m
     assert_multiset_close(
-        got, adjacency_spectrum(line_graph(star).graph).values, tol=1e-7
+        got, dense_node(line_graph(star).graph).adjacency, tol=1e-7
     )
 
 
@@ -158,12 +152,12 @@ def test_line_spectrum_general_random_graphs():
     for _ in range(50):
         g = random_signed_graph(rng, int(rng.integers(1, 8)), 0.5)
         rep = balance_report(g)
-        lap = sorted(laplacian_spectrum(g).values)
+        lap = sorted(dense_node(g).laplacian)
         got = formulas.line_spectrum_general(lap, g.m, g.n, rep.b)
-        want = adjacency_spectrum(line_graph(g).graph).values
+        want = dense_node(line_graph(g).graph).adjacency
         assert_multiset_close(got, want, tol=1e-7)
         assert energy_from_spectrum(got) == pytest.approx(
-            energy(line_graph(g).graph), abs=1e-7
+            dense_node(line_graph(g).graph).energy, abs=1e-7
         )
 
 
@@ -184,7 +178,7 @@ def test_line_of_positive_complete_via_general_transform():
         got = formulas.line_spectrum_general(lap, m, n, 1)
         expected = [2.0 - n] * (n - 1) + [2.0] * ((n - 1) * (n - 2) // 2)
         assert_multiset_close(got, expected)
-        solver = adjacency_spectrum(line_graph(complete(n, 1)).graph).values
+        solver = dense_node(line_graph(complete(n, 1)).graph).adjacency
         assert_multiset_close(got, solver, tol=1e-7)
 
 
@@ -205,8 +199,8 @@ def test_regular_transform_on_complete_graphs():
             [3.0 * n - 6.0] * (n - 1) + [2.0 * n - 6.0] * ((n - 1) * (n - 2) // 2),
         )
         lg = line_graph(complete(n, 1)).graph
-        assert_multiset_close(plus.laplacian, laplacian_spectrum(lg).values, tol=1e-7)
-        assert plus.energy == pytest.approx(energy(lg), abs=1e-7)
+        assert_multiset_close(plus.laplacian, dense_node(lg).laplacian, tol=1e-7)
+        assert plus.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
 
         # -K_n itself is unbalanced for n >= 3 but its negation +K_n is
         # balanced, so -k appears once in the spectrum
@@ -216,8 +210,8 @@ def test_regular_transform_on_complete_graphs():
         )
         assert_multiset_close(minus.adjacency, expected)
         lgm = line_graph(complete(n, -1)).graph
-        assert_multiset_close(minus.adjacency, adjacency_spectrum(lgm).values, tol=1e-7)
-        assert minus.energy == pytest.approx(energy(lgm), abs=1e-7)
+        assert_multiset_close(minus.adjacency, dense_node(lgm).adjacency, tol=1e-7)
+        assert minus.energy == pytest.approx(dense_node(lgm).energy, abs=1e-7)
 
 
 def test_regular_transform_energy_equals_laplacian_energy():
@@ -227,9 +221,9 @@ def test_regular_transform_energy_equals_laplacian_energy():
         for r in range(3):
             res = _node(f"cycle:n={n},r={r}", True)
             lg = line_graph(cycle(n, r)).graph
-            assert res.energy == pytest.approx(energy(lg), abs=1e-7)
-            assert res.energy == pytest.approx(laplacian_energy(lg), abs=1e-7)
-            assert res.laplacian_energy == pytest.approx(laplacian_energy(lg), abs=1e-7)
+            assert res.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
+            assert res.energy == pytest.approx(dense_node(lg).laplacian_energy, abs=1e-7)
+            assert res.laplacian_energy == pytest.approx(dense_node(lg).laplacian_energy, abs=1e-7)
 
 
 # --- line graphs of Cartesian products (structured nodes) -------------------
@@ -239,8 +233,8 @@ def test_cartesian_line_transform_on_grids():
     for m, n in ((2, 2), (3, 4), (5, 5), (1, 5), (6, 2)):
         res = _node(f"grid:m={m},n={n}", True)
         lg = line_graph(grid(m, 0, n, 0)).graph
-        assert_multiset_close(res.adjacency, adjacency_spectrum(lg).values, tol=1e-7)
-        assert res.energy == pytest.approx(energy(lg), abs=1e-7)
+        assert_multiset_close(res.adjacency, dense_node(lg).adjacency, tol=1e-7)
+        assert res.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
     # the 2 x 2 case closes the loop: the grid is C_4, its line graph is
     # C_4 again, so the energy must come back to 4
     assert _node("grid:m=2,n=2", True).energy == pytest.approx(4.0, abs=1e-9)
@@ -253,9 +247,9 @@ def test_cartesian_line_transform_on_cylinders():
                 res = _node(f"cylinder:m={m},r1={r1},n={n}", True)
                 lg = line_graph(cylinder(m, r1, n, 0)).graph
                 assert_multiset_close(
-                    res.adjacency, adjacency_spectrum(lg).values, tol=1e-7
+                    res.adjacency, dense_node(lg).adjacency, tol=1e-7
                 )
-                assert res.energy == pytest.approx(energy(lg), abs=1e-7)
+                assert res.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
 
 
 def test_torus_line_spectra():
@@ -263,10 +257,10 @@ def test_torus_line_spectra():
         res = _node(f"torus:m={m},r1={r1},n={n},r2={r2}", True)
         lg = line_graph(torus(m, r1, n, r2)).graph
         assert lg.n == 2 * m * n
-        assert_multiset_close(res.adjacency, adjacency_spectrum(lg).values, tol=1e-7)
-        assert_multiset_close(res.laplacian, laplacian_spectrum(lg).values, tol=1e-7)
-        assert res.energy == pytest.approx(energy(lg), abs=1e-7)
-        assert res.energy == pytest.approx(laplacian_energy(lg), abs=1e-7)
+        assert_multiset_close(res.adjacency, dense_node(lg).adjacency, tol=1e-7)
+        assert_multiset_close(res.laplacian, dense_node(lg).laplacian, tol=1e-7)
+        assert res.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
+        assert res.energy == pytest.approx(dense_node(lg).laplacian_energy, abs=1e-7)
         # the mn extra adjacency values sit at 2, the Laplacian ones at 4
         assert sum(1 for v in res.adjacency if abs(v - 2.0) <= 1e-9) >= m * n
         assert sum(1 for v in res.laplacian if abs(v - 4.0) <= 1e-9) >= m * n
@@ -282,14 +276,14 @@ def test_homogeneous_line_spectra_on_complete_graphs():
         plus = _node(f"complete:n={n},sign=+", True)
         assert plus.energy == pytest.approx(2.0 * (n - 1) * (n - 2), abs=1e-9)
         lg = line_graph(complete(n, 1)).graph
-        assert_multiset_close(plus.adjacency, adjacency_spectrum(lg).values, tol=1e-7)
-        assert_multiset_close(plus.laplacian, laplacian_spectrum(lg).values, tol=1e-7)
+        assert_multiset_close(plus.adjacency, dense_node(lg).adjacency, tol=1e-7)
+        assert_multiset_close(plus.laplacian, dense_node(lg).laplacian, tol=1e-7)
 
         minus = _node(f"complete:n={n},sign=-", True)
         expected_energy = 2.0 * (n - 2) + (n - 1) * abs(n - 4) + n * (n - 3)
         assert minus.energy == pytest.approx(expected_energy, abs=1e-9)
         lgm = line_graph(complete(n, -1)).graph
-        assert_multiset_close(minus.adjacency, adjacency_spectrum(lgm).values, tol=1e-7)
+        assert_multiset_close(minus.adjacency, dense_node(lgm).adjacency, tol=1e-7)
 
         # unsigned line graph of K_n, the negation of line(-K_n): spectrum
         # 2(n-2) once, n-4 with multiplicity n-1, -2 with multiplicity m-n;
@@ -299,7 +293,7 @@ def test_homogeneous_line_spectra_on_complete_graphs():
         unsigned_values = -minus.adjacency
         unsigned_laplacian = k + minus.adjacency
         assert_multiset_close(
-            unsigned_values, adjacency_spectrum(unsigned).values, tol=1e-7
+            unsigned_values, dense_node(unsigned).adjacency, tol=1e-7
         )
         expected_unsigned = (
             [2.0 * (n - 2)] + [float(n - 4)] * (n - 1) + [-2.0] * (m - n)
@@ -311,7 +305,7 @@ def test_homogeneous_line_spectra_on_complete_graphs():
         )
         assert_multiset_close(
             unsigned_laplacian,
-            laplacian_spectrum(unsigned).values,
+            dense_node(unsigned).laplacian,
             tol=1e-7,
         )
 
@@ -320,15 +314,15 @@ def test_homogeneous_line_spectra_on_a_cycle():
     g = cycle(5, 0)
     res = _node("cycle:n=5,r=0", True)
     lg = line_graph(g).graph
-    assert_multiset_close(res.adjacency, adjacency_spectrum(lg).values, tol=1e-7)
-    assert res.energy == pytest.approx(energy(lg), abs=1e-7)
-    assert_multiset_close(res.laplacian, laplacian_spectrum(lg).values, tol=1e-7)
+    assert_multiset_close(res.adjacency, dense_node(lg).adjacency, tol=1e-7)
+    assert res.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
+    assert_multiset_close(res.laplacian, dense_node(lg).laplacian, tol=1e-7)
 
     neg = _node("cycle:n=5,r=5", True)  # negate(cycle(5, 0))
     lgn = line_graph(negate(g)).graph
-    assert_multiset_close(neg.adjacency, adjacency_spectrum(lgn).values, tol=1e-7)
+    assert_multiset_close(neg.adjacency, dense_node(lgn).adjacency, tol=1e-7)
     assert_multiset_close(
-        -neg.adjacency, adjacency_spectrum(negate(lgn)).values, tol=1e-7
+        -neg.adjacency, dense_node(negate(lgn)).adjacency, tol=1e-7
     )
 
 

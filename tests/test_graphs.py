@@ -29,7 +29,7 @@ from signet.graphs import (
     to_json_dict,
     underlying,
 )
-from signet.spectra import adjacency_spectrum
+from signet.structured import dense_node
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -182,7 +182,7 @@ def test_adjacency_negative_triangle():
 
 
 def test_adjacency_spectrum_of_signed_five_cycle():
-    vals = adjacency_spectrum(cycle(5, 1)).values
+    vals = dense_node(cycle(5, 1)).adjacency
     expected = [2 * math.cos((2 * j - 1) * math.pi / 5) for j in range(1, 6)]
     assert_multiset_close(vals, expected)
 
@@ -239,8 +239,8 @@ def test_negate_complete_and_involution():
 def test_negate_reflects_spectrum():
     rng = np.random.default_rng(TEST_SEED + 2)
     g = random_signed_graph(rng, 8, 0.5)
-    vals = adjacency_spectrum(g).values
-    neg_vals = adjacency_spectrum(negate(g)).values
+    vals = dense_node(g).adjacency
+    neg_vals = dense_node(negate(g)).adjacency
     assert_multiset_close(neg_vals, [-v for v in vals], tol=1e-8)
 
 
@@ -280,8 +280,8 @@ def test_switching_invariance_of_spectrum():
         g = random_signed_graph(rng, int(rng.integers(1, 8)), 0.5)
         s = [int(x) for x in rng.choice([1, -1], size=g.n)]
         assert_multiset_close(
-            adjacency_spectrum(switch(g, s)).values,
-            adjacency_spectrum(g).values,
+            dense_node(switch(g, s)).adjacency,
+            dense_node(g).adjacency,
             tol=1e-8,
         )
 

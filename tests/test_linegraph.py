@@ -16,15 +16,13 @@ from signet.graphs import (
     negate,
 )
 from signet.linegraph import line_graph
-from signet.spectra import adjacency_spectrum, laplacian_spectrum
+from signet.structured import dense_node
 
 
 def test_line_of_path_three_is_one_edge():
     for r in range(3):
         res = line_graph(path(3, r))
         assert res.graph.n == 2 and res.graph.m == 1
-        # the only line edge is witnessed by the shared centre vertex 1
-        assert res.edge_origin == {(0, 1): 1}
 
 
 def test_line_edge_sign_follows_incidence_convention():
@@ -57,16 +55,6 @@ def test_matrix_identity_on_random_graphs():
         )
 
 
-def test_edge_origin_records_shared_vertex():
-    rng = np.random.default_rng(TEST_SEED + 1)
-    g = random_signed_graph(rng, 7, 0.6)
-    res = line_graph(g)
-    for (e, f), w in res.edge_origin.items():
-        endpoints_e = set(g.edges[e][:2])
-        endpoints_f = set(g.edges[f][:2])
-        assert endpoints_e & endpoints_f == {w}
-
-
 def test_all_negative_signature_negates_the_classical_line_graph():
     # With every edge negative the incidence matrix is the unsigned 0/1
     # one, so the line graph comes out all-negative on the classical
@@ -83,8 +71,8 @@ def test_all_negative_signature_negates_the_classical_line_graph():
         assert all(s == -1 for _, _, s in neg_line.edges)
         classical = underlying(pos_line)
         assert_multiset_close(
-            adjacency_spectrum(neg_line).values,
-            [-v for v in adjacency_spectrum(classical).values],
+            dense_node(neg_line).adjacency,
+            [-v for v in dense_node(classical).adjacency],
             tol=1e-8,
         )
 
@@ -110,7 +98,7 @@ def test_eigenvalue_window():
         g = random_signed_graph(rng, int(rng.integers(2, 9)), 0.6)
         if g.m == 0:
             continue
-        vals = adjacency_spectrum(line_graph(g).graph).values
+        vals = dense_node(line_graph(g).graph).adjacency
         maxdeg = int(degrees(g).max())
         assert vals[-1] <= 2.0 + 1e-8
         assert vals[0] >= -2.0 * (maxdeg - 1) - 1e-8
@@ -121,9 +109,9 @@ def test_spectrum_law_from_laplacian():
     for _ in range(60):
         g = random_signed_graph(rng, int(rng.integers(1, 9)), 0.5)
         rep = balance_report(g)
-        lap = sorted(laplacian_spectrum(g).values)
+        lap = sorted(dense_node(g).laplacian)
         expected = [2.0 - v for v in lap[rep.b :]] + [2.0] * (g.m - g.n + rep.b)
-        got = adjacency_spectrum(line_graph(g).graph).values
+        got = dense_node(line_graph(g).graph).adjacency
         assert_multiset_close(got, expected, tol=1e-7)
 
 
@@ -133,7 +121,7 @@ def test_line_of_complete_graphs():
     # again a negative triangle.
     lg = line_graph(complete(4, 1)).graph
     assert_multiset_close(
-        adjacency_spectrum(lg).values, [-2.0, -2.0, -2.0, 2.0, 2.0, 2.0]
+        dense_node(lg).adjacency, [-2.0, -2.0, -2.0, 2.0, 2.0, 2.0]
     )
     lg3 = line_graph(complete(3, -1)).graph
-    assert_multiset_close(adjacency_spectrum(lg3).values, [-2.0, 1.0, 1.0])
+    assert_multiset_close(dense_node(lg3).adjacency, [-2.0, 1.0, 1.0])

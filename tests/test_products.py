@@ -1,4 +1,4 @@
-"""Kronecker algebra and NEPS / Cartesian / strong / p-sum products."""
+"""Kronecker sums over a basis and NEPS / Cartesian / strong / p-sum products."""
 
 from __future__ import annotations
 
@@ -16,20 +16,17 @@ import signet.products as products
 from signet.graphs import SignedGraph, adjacency, balance_report, degree_matrix, dumps, loads, to_json_dict
 from signet.products import (
     Basis,
-    ProductVertexMap,
-    average_degree,
     cartesian,
     cartesian_basis,
-    kron,
     kron_sum_over_basis,
     neps,
-    neps_degree_matrix,
     p_sum_basis,
     strong,
     strong_basis,
     symmetric_p,
 )
-from signet.spectra import adjacency_spectrum, eigenvalues, energy, laplacian_energy
+from signet.spectra import eigenvalues
+from signet.structured import dense_node, leaf_node, product_node
 
 
 @pytest.fixture(autouse=True)
@@ -77,35 +74,17 @@ def test_standard_bases():
         p_sum_basis(2, 0)
 
 
-def test_vertex_map_round_trip():
-    vm = ProductVertexMap((3, 4, 2))
-    assert vm.size == 24
-    for flat in range(vm.size):
-        coords = vm.to_coords(flat)
-        assert vm.to_flat(coords) == flat
-    assert vm.to_flat((1, 2, 1)) == (1 * 4 + 2) * 2 + 1
-
-
 # --- Kronecker algebra ------------------------------------------------------
-
-
-def test_kron_block_structure():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = kron(np.eye(2), m)
-    assert np.array_equal(out[:2, :2], m)
-    assert np.array_equal(out[2:, 2:], m)
-    assert not out[:2, 2:].any()
-    assert np.array_equal(kron(np.array([[0, 1], [1, 0]]), np.array([[2]])), np.array([[0, 2], [2, 0]]))
 
 
 def test_kron_eigenvalues_are_pairwise_products():
     rng = np.random.default_rng(TEST_SEED)
     a = adjacency(random_signed_graph(rng, 4, 0.6)).astype(float)
     b = adjacency(random_signed_graph(rng, 3, 0.6)).astype(float)
-    lam = eigenvalues(a).values
-    mu = eigenvalues(b).values
+    lam = eigenvalues(a)
+    mu = eigenvalues(b)
     expected = [x * y for x in lam for y in mu]
-    assert_multiset_close(eigenvalues(kron(a, b)).values, expected, tol=1e-7)
+    assert_multiset_close(eigenvalues(np.kron(a, b)), expected, tol=1e-7)
 
 
 def test_kron_sum_single_factor_identity():
@@ -264,7 +243,7 @@ def test_neps_spectrum_composition():
     rng = np.random.default_rng(TEST_SEED + 5)
     factors = [random_signed_graph(rng, 3, 0.7), random_signed_graph(rng, 4, 0.7)]
     basis = Basis(2, ((1, 0), (1, 1)))
-    spectra = [adjacency_spectrum(f).values for f in factors]
+    spectra = [dense_node(f).adjacency for f in factors]
     expected = []
     for lam in spectra[0]:
         for mu in spectra[1]:
@@ -272,7 +251,7 @@ def test_neps_spectrum_composition():
                 math.prod(v for v, bit in zip((lam, mu), vec) if bit)
                 for vec in basis.vectors
             ))
-    got = adjacency_spectrum(neps(factors, basis)).values
+    got = dense_node(neps(factors, basis)).adjacency
     assert_multiset_close(got, expected, tol=1e-7)
 
 
@@ -285,17 +264,17 @@ def test_cartesian_of_two_edges_is_positive_square():
     assert got.n == 4 and got.m == 4
     assert all(s == 1 for _, _, s in got.edges)
     assert_multiset_close(
-        adjacency_spectrum(got).values, [-2.0, 0.0, 0.0, 2.0], tol=1e-8
+        dense_node(got).adjacency, [-2.0, 0.0, 0.0, 2.0], tol=1e-8
     )
 
 
 def test_cartesian_eigenvalues_are_sums():
     f1, f2 = cycle(4, 1), path(3, 0)
-    got = adjacency_spectrum(cartesian([f1, f2])).values
+    got = dense_node(cartesian([f1, f2])).adjacency
     expected = [
         a + b
-        for a in adjacency_spectrum(f1).values
-        for b in adjacency_spectrum(f2).values
+        for a in dense_node(f1).adjacency
+        for b in dense_node(f2).adjacency
     ]
     assert_multiset_close(got, expected, tol=1e-7)
 
@@ -332,13 +311,14 @@ def test_negation_law_for_p_sums():
 
 def test_cartesian_degree_matrix_of_regular_factors():
     f1, f2 = cycle(4, 1), complete(4, -1)  # 2-regular and 3-regular
-    d = neps_degree_matrix([f1, f2], cartesian_basis(2))
+    d = kron_sum_over_basis([degree_matrix(f1), degree_matrix(f2)], cartesian_basis(2))
     assert np.array_equal(d, 5 * np.eye(16, dtype=np.int64))
 
 
 def test_grid_average_degree():
     for m, n in ((2, 2), (3, 5), (6, 4)):
-        got = average_degree([path(m, 0), path(n, 0)], cartesian_basis(2))
+        node = product_node(cartesian_basis(2), [leaf_node("path", m, 0), leaf_node("path", n, 0)])
+        got = 2 * node.m / node.n
         assert got == pytest.approx(4.0 - 2.0 / m - 2.0 / n)
 
 
@@ -349,7 +329,7 @@ def test_degree_formula_matches_direct_construction():
             random_signed_graph(rng, int(rng.integers(1, 5)), 0.6) for _ in range(2)
         ]
         basis = Basis(2, ((0, 1), (1, 0), (1, 1)))
-        formula = neps_degree_matrix(factors, basis)
+        formula = kron_sum_over_basis([degree_matrix(f) for f in factors], basis)
         direct = degree_matrix(neps(factors, basis))
         assert np.array_equal(formula, direct)
 
@@ -415,19 +395,19 @@ def test_energy_bound_with_equality_and_strictness():
             while g.m == 0:
                 g = random_signed_graph(rng, int(rng.integers(2, 5)), 0.8)
             factors.append(g)
-        rates = [energy(f) / f.n for f in factors]
+        rates = [dense_node(f).energy / f.n for f in factors]
         tensor = strong(factors)
-        assert energy(tensor) / tensor.n == pytest.approx(rates[0] * rates[1], abs=1e-8)
+        assert dense_node(tensor).energy / tensor.n == pytest.approx(rates[0] * rates[1], abs=1e-8)
         basis = Basis(2, ((0, 1), (1, 0), (1, 1)))
         g = neps(factors, basis)
-        lhs = energy(g) / g.n
+        lhs = dense_node(g).energy / g.n
         rhs = rates[0] + rates[1] + rates[0] * rates[1]
         assert lhs <= rhs + 1e-9
         if rhs - lhs > 1e-9:
             checked_strict += 1
         cart = cartesian(factors)
-        l_lhs = laplacian_energy(cart) / cart.n
-        l_rhs = sum(laplacian_energy(f) / f.n for f in factors)
+        l_lhs = dense_node(cart).laplacian_energy / cart.n
+        l_rhs = sum(dense_node(f).laplacian_energy / f.n for f in factors)
         assert l_lhs < l_rhs + 1e-9
     assert checked_strict == 40  # strict whenever |B| > 1 and no factor edgeless
 

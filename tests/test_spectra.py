@@ -19,27 +19,20 @@ from signet.graphs import (
     negate,
 )
 from signet.linegraph import line_graph
-from signet.spectra import (
-    Spectrum,
-    adjacency_spectrum,
-    eigenvalues,
-    energy,
-    laplacian_energy,
-    laplacian_spectrum,
-    multiplicity_of,
-)
+from signet.spectra import eigenvalues, multiplicity_of
+from signet.structured import dense_node
 
 
 # --- solver behaviour -------------------------------------------------------
 
 
 def test_zero_matrix():
-    assert eigenvalues(np.zeros((3, 3))).values == (0.0, 0.0, 0.0)
+    assert eigenvalues(np.zeros((3, 3))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_degenerate_orders():
-    assert eigenvalues(np.zeros((0, 0))).values == ()
-    assert eigenvalues(np.array([[7.5]])).values == (7.5,)
+    assert eigenvalues(np.zeros((0, 0))).tolist() == []
+    assert eigenvalues(np.array([[7.5]])).tolist() == [7.5]
 
 
 def test_input_validation():
@@ -51,12 +44,12 @@ def test_input_validation():
 
 def test_complete_graph_spectrum():
     for n in range(2, 9):
-        vals = adjacency_spectrum(complete(n, 1)).values
+        vals = dense_node(complete(n, 1)).adjacency
         assert_multiset_close(vals, [-1.0] * (n - 1) + [n - 1.0])
 
 
 def test_signed_four_cycle_spectrum():
-    vals = adjacency_spectrum(cycle(4, 1)).values
+    vals = dense_node(cycle(4, 1)).adjacency
     root2 = math.sqrt(2.0)
     assert_multiset_close(vals, [-root2, -root2, root2, root2])
 
@@ -66,7 +59,7 @@ def test_trace_and_frobenius_identities():
     for _ in range(30):
         g = random_signed_graph(rng, int(rng.integers(1, 9)), 0.5)
         for mat in (adjacency(g), laplacian(g)):
-            vals = np.array(eigenvalues(mat.astype(float)).values)
+            vals = eigenvalues(mat.astype(float))
             fro = float(np.linalg.norm(mat))
             assert abs(vals.sum() - np.trace(mat)) <= 1e-8 * max(1.0, fro)
             assert abs((vals**2).sum() - fro**2) <= 1e-8 * max(1.0, fro**2)
@@ -76,8 +69,8 @@ def test_laplacian_psd_and_kernel_counts_balanced_components():
     rng = np.random.default_rng(TEST_SEED + 2)
     for _ in range(60):
         g = random_signed_graph(rng, int(rng.integers(1, 9)), 0.5)
-        lap = laplacian_spectrum(g)
-        assert lap.values[0] >= -1e-8 if lap.values else True
+        lap = dense_node(g).laplacian
+        assert lap[0] >= -1e-8 if len(lap) else True
         assert multiplicity_of(lap, 0.0, 1e-6) == balance_report(g).b
 
 
@@ -86,16 +79,16 @@ def test_laplacian_psd_and_kernel_counts_balanced_components():
 
 def test_energies_of_edgeless_graph_vanish():
     g = SignedGraph(4)
-    assert energy(g) == 0.0
-    assert laplacian_energy(g) == 0.0
-    assert laplacian_energy(SignedGraph(0)) == 0.0
+    assert dense_node(g).energy == 0.0
+    assert dense_node(g).laplacian_energy == 0.0
+    assert dense_node(SignedGraph(0)).laplacian_energy == 0.0
 
 
 def test_line_graph_of_complete_five_energy():
     # Sum of |2 - mu| over the positive Laplacian spectrum {5 x 4} of K_5
     # plus 2 per extra eigenvalue 2 gives 4*3 + 2*(10 - 5 + 1) = 24.
     lg = line_graph(complete(5, 1)).graph
-    assert energy(lg) == pytest.approx(24.0, abs=1e-7)
+    assert dense_node(lg).energy == pytest.approx(24.0, abs=1e-7)
 
 
 def test_two_by_two_grid_energy_is_four():
@@ -104,16 +97,16 @@ def test_two_by_two_grid_energy_is_four():
     for r1 in (0, 1):
         for r2 in (0, 1):
             g = cartesian([path(2, r1), path(2, r2)])
-            assert energy(g) == pytest.approx(4.0, abs=1e-7)
+            assert dense_node(g).energy == pytest.approx(4.0, abs=1e-7)
             assert_multiset_close(
-                adjacency_spectrum(g).values, [-2.0, 0.0, 0.0, 2.0]
+                dense_node(g).adjacency, [-2.0, 0.0, 0.0, 2.0]
             )
 
 
 def test_regular_graphs_have_equal_energies():
     cases = [cycle(6, 1), cycle(5, 0), complete(5, -1), torus(3, 1, 3, 0)]
     for g in cases:
-        assert laplacian_energy(g) == pytest.approx(energy(g), abs=1e-7)
+        assert dense_node(g).laplacian_energy == pytest.approx(dense_node(g).energy, abs=1e-7)
 
 
 def test_toroidal_energy_matches_cosine_double_sum():
@@ -124,8 +117,8 @@ def test_toroidal_energy_matches_cosine_double_sum():
             total += abs(
                 2 * math.cos((2 * i - 1) * math.pi / 3) + 2 * math.cos(2 * j * math.pi / 3)
             )
-    assert energy(g) == pytest.approx(total, abs=1e-7)
-    assert laplacian_energy(g) == pytest.approx(total, abs=1e-7)
+    assert dense_node(g).energy == pytest.approx(total, abs=1e-7)
+    assert dense_node(g).laplacian_energy == pytest.approx(total, abs=1e-7)
 
 
 def test_regular_spectrum_ladder():
@@ -136,28 +129,28 @@ def test_regular_spectrum_ladder():
     cases += [torus(3, r1, 4, r2) for r1 in (0, 1) for r2 in (0, 1)]
     for g in cases:
         k = int(degrees(g)[0])
-        spec = adjacency_spectrum(g)
+        spec = dense_node(g).adjacency
         assert multiplicity_of(spec, float(k), 1e-6) == balance_report(g).b
         assert multiplicity_of(spec, float(-k), 1e-6) == balance_report(negate(g)).b
-        lap = laplacian_spectrum(g).values
-        assert_multiset_close(lap, [k - v for v in spec.values])
+        lap = dense_node(g).laplacian
+        assert_multiset_close(lap, [k - v for v in spec])
 
 
 # --- multiplicities ---------------------------------------------------------
 
 
 def test_multiplicity_counting():
-    assert multiplicity_of(Spectrum((0.0, 0.0, 0.0)), 0.0, 1e-6) == 3
+    assert multiplicity_of(np.zeros(3), 0.0, 1e-6) == 3
     assert multiplicity_of([1.0, 1.0000004, 2.0], 1.0, 1e-6) == 2
     with pytest.raises(ValueError):
         multiplicity_of([1.0], 1.0, 0.0)
 
 
 def test_multiplicity_of_two_in_line_of_complete_four():
-    spec = adjacency_spectrum(line_graph(complete(4, 1)).graph)
+    spec = dense_node(line_graph(complete(4, 1)).graph).adjacency
     assert multiplicity_of(spec, 2.0, 1e-6) == 3  # C(3, 2)
 
 
 def test_odd_signature_six_cycle_laplacian_has_no_zero():
-    spec = laplacian_spectrum(cycle(6, 1))
+    spec = dense_node(cycle(6, 1)).laplacian
     assert multiplicity_of(spec, 0.0, 1e-6) == 0

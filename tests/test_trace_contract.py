@@ -3,7 +3,9 @@
 The tracer wraps ``SignedGraph.__post_init__`` and the public functions of
 the layer modules from outside; a refactor of the graph layer that moved
 canonicalisation or JSON writing out of those hooks would leave ``--trace 1``
-runs recording nothing for them.
+runs recording nothing for them.  The tracer also reads two shapes: the
+``graph`` field of what ``line_graph`` returns, and the matrix that
+``spectra.eigenvalues`` takes as its first argument.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from time import perf_counter
 import pytest
 
 import signet
-from signet import cli, graphs
+from signet import cli, families, graphs
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -29,21 +31,11 @@ def tracer_module():
     return module
 
 
-def test_traced_requests_record_canonicalisation_and_json_writing(tracer_module, capsys):
-    originals = {
-        "__post_init__": graphs.SignedGraph.__dict__["__post_init__"],
-        "graphs.dumps": graphs.dumps,
-        "cli.dumps": cli.dumps,
-        "cli.neps": cli.neps,
-    }
-    tracer = tracer_module.Tracer()
+def _traced(tracer, requests):
+    """Run each argv through ``cli.main`` as one traced request; their latencies."""
     tracer.install()
+    latencies = []
     try:
-        requests = (
-            ["product", "--family", "complete:n=4", "--family", "cycle:n=5,r=1", "--basis", "strong"],
-            ["spectrum", "--family", "grid:m=3,r1=1,n=4,r2=0"],
-        )
-        latencies = []
         for request, argv in enumerate(requests):
             tracer.begin(request)
             start = perf_counter()
@@ -53,6 +45,24 @@ def test_traced_requests_record_canonicalisation_and_json_writing(tracer_module,
             latencies.append(stop - start)
     finally:
         tracer.uninstall()
+    return latencies
+
+
+def test_traced_requests_record_canonicalisation_and_json_writing(tracer_module, capsys):
+    originals = {
+        "__post_init__": graphs.SignedGraph.__dict__["__post_init__"],
+        "graphs.dumps": graphs.dumps,
+        "cli.dumps": cli.dumps,
+        "cli.neps": cli.neps,
+    }
+    tracer = tracer_module.Tracer()
+    latencies = _traced(
+        tracer,
+        (
+            ["product", "--family", "complete:n=4", "--family", "cycle:n=5,r=1", "--basis", "strong"],
+            ["spectrum", "--family", "grid:m=3,r1=1,n=4,r2=0"],
+        ),
+    )
 
     product = json.loads(capsys.readouterr().out.splitlines()[0])
     names = {request: {span[3] for span in tracer.spans if span[2] == request} for request in (0, 1)}
@@ -69,3 +79,46 @@ def test_traced_requests_record_canonicalisation_and_json_writing(tracer_module,
     assert graphs.SignedGraph.__dict__["__post_init__"] is originals["__post_init__"]
     assert (graphs.dumps, cli.dumps, cli.neps) == (originals["graphs.dumps"], originals["cli.dumps"], originals["cli.neps"])
     assert signet.dumps is graphs.dumps
+
+
+def test_traced_line_and_file_requests_count_edges_and_solves(tracer_module, tmp_path, capsys):
+    doc = tmp_path / "c5.json"
+    doc.write_text(graphs.dumps(families.cycle(5, 0)))
+    tracer = tracer_module.Tracer()
+    latencies = _traced(
+        tracer,
+        (
+            ["line", "--family", "complete:n=5,sign=-"],
+            ["spectrum", "--file", str(doc)],
+        ),
+    )
+    capsys.readouterr()
+    names = {request: {span[3] for span in tracer.spans if span[2] == request} for request in (0, 1)}
+    assert "linegraph.line_graph" in names[0]
+    assert {"graphs.loads", "spectra.eigenvalues"} <= names[1]
+    assert tracer.counts[0]["linegraph.edges_out"] == 30  # 5 vertices of K_5, C(4, 2) edge pairs at each
+    assert tracer.counts[1]["spectra.solve_calls"] == 2  # the adjacency and the Laplacian of C_5
+    assert tracer.summary(latencies)["consistent"]
+
+
+def test_public_names_resolve(tracer_module):
+    """The tracer looks up every exported name; a stale export would crash
+    ``--trace 1``."""
+    for module in (signet, *(importlib.import_module(f"signet.{m}") for m in tracer_module.LAYER_MODULES)):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    removed = {
+        "signet": {"Spectrum", "adjacency_spectrum", "laplacian_spectrum", "energy", "laplacian_energy", "kron"},
+        "signet.spectra": {
+            "Spectrum",
+            "DEFAULT_MULTIPLICITY_TOL",
+            "adjacency_spectrum",
+            "laplacian_spectrum",
+            "energy",
+            "laplacian_energy",
+        },
+        "signet.products": {"ProductVertexMap", "kron", "neps_degree_matrix", "average_degree"},
+    }
+    for module_name, names in removed.items():
+        module = importlib.import_module(module_name)
+        assert not names & set(dir(module)), module_name
