@@ -25,10 +25,9 @@ import sys
 
 import numpy as np
 
-from .families import from_family_string, parse_family
-from .graphs import SignedGraph, adjacency, dumps, laplacian_from_adjacency, loads, to_json_dict
-from .linegraph import line_graph
-from .products import Basis, cartesian_basis, neps, p_sum_basis, strong_basis
+from .families import parse_family
+from .graphs import adjacency, dumps, laplacian_from_adjacency, loads, to_json_dict
+from .products import Basis, cartesian_basis, p_sum_basis, strong_basis
 from .spectra import EigensolverError
 from .structured import SpectralNode, line_node, product_node, spectral_node
 from .verify import SUITES, run_suite
@@ -42,26 +41,11 @@ EXIT_NUMERICAL = 3
 
 
 class _InputAction(argparse.Action):
-    """Collect --family/--file occurrences into one list, preserving order."""
+    """Collect --family/--file occurrences into one tuple, preserving order."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, "inputs", None)
-        if items is None:
-            items = []
-            setattr(namespace, "inputs", items)
         kind = "family" if option_string == "--family" else "file"
-        items.append((kind, values))
-
-
-def _load_input(kind: str, value: str) -> SignedGraph:
-    if kind == "family":
-        return from_family_string(value)
-    return _load_file(value)
-
-
-def _load_file(path: str) -> SignedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        namespace.inputs = (*namespace.inputs, (kind, values))
 
 
 def _emit(text: str, out: str | None):
@@ -105,23 +89,24 @@ def _report(node: SpectralNode) -> dict:
     }
 
 
-def _single_input(ns, command: str) -> tuple[str, str]:
-    inputs = getattr(ns, "inputs", None) or []
-    if len(inputs) != 1:
-        raise ValueError(f"{command} expects exactly one --family or --file input")
-    return inputs[0]
+def _node(ns, line: bool) -> SpectralNode:
+    """The input's node, or the inputs' NEPS under ``--basis``; lined if ``line``.  Only files are built."""
+    nodes = []
+    for kind, value in ns.inputs:
+        if kind == "family":
+            nodes.append(spectral_node(parse_family(value)))
+        else:
+            with open(value, "r", encoding="utf-8") as fh:
+                nodes.append(spectral_node(loads(fh.read())))
+    basis = _parse_basis(ns.basis, len(nodes))
+    node = nodes[0] if len(nodes) == 1 else product_node(basis, nodes)
+    return line_node(node) if line else node
 
 
 def cmd_spectrum(ns) -> int:
-    inputs = getattr(ns, "inputs", None) or []
-    if not inputs:
+    if not ns.inputs:
         raise ValueError("spectrum expects at least one --family or --file input")
-    # A family is answered from its spectral rules; a file is built and solved.
-    nodes = [spectral_node(parse_family(value) if kind == "family" else _load_file(value)) for kind, value in inputs]
-    basis = _parse_basis(ns.basis, len(nodes))
-    node = nodes[0] if len(nodes) == 1 else product_node(basis, nodes)
-    if ns.line:
-        node = line_node(node)
+    node = _node(ns, ns.line)
     if ns.csv:
         text = "\n".join("%.12g" % v for v in node.adjacency)
     else:
@@ -131,12 +116,9 @@ def cmd_spectrum(ns) -> int:
 
 
 def cmd_product(ns) -> int:
-    inputs = getattr(ns, "inputs", None) or []
-    if len(inputs) < 2:
+    if len(ns.inputs) < 2:
         raise ValueError("product expects at least two --family/--file inputs")
-    factors = [_load_input(kind, value) for kind, value in inputs]
-    basis = _parse_basis(ns.basis, len(factors))
-    g = neps(factors, basis)
+    g = _node(ns, False).graph
     if ns.matrix:
         a = adjacency(g)
         lap = laplacian_from_adjacency(a)
@@ -155,8 +137,9 @@ def cmd_product(ns) -> int:
 
 
 def cmd_line(ns) -> int:
-    g = _load_input(*_single_input(ns, "line"))
-    _emit(dumps(line_graph(g).graph), ns.out)
+    if len(ns.inputs) != 1:
+        raise ValueError("line expects exactly one --family or --file input")
+    _emit(dumps(_node(ns, True).graph), ns.out)
     return EXIT_OK
 
 
@@ -196,6 +179,7 @@ def _add_input_flags(parser):
         "--file", action=_InputAction, metavar="PATH", help="graph JSON file"
     )
     parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    parser.set_defaults(inputs=())
 
 
 def _add_basis_flag(parser):
@@ -231,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("line", help="signed line graph of one graph")
     _add_input_flags(pl)
-    pl.set_defaults(func=cmd_line)
+    pl.set_defaults(func=cmd_line, basis="cartesian")  # one input, arity 1
 
     pv = sub.add_parser("verify", help="run property suites")
     pv.add_argument("suite", help=f"one of {', '.join(sorted(SUITES))}, or all")

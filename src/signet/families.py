@@ -26,7 +26,6 @@ __all__ = [
     "parse_family",
     "family_leaves",
     "build_family",
-    "from_family_string",
 ]
 
 
@@ -202,8 +201,3 @@ def family_leaves(spec: FamilySpec) -> tuple[tuple[str, int, int], ...]:
 def build_family(spec: FamilySpec) -> SignedGraph:
     factors = [_LEAVES[kind][0](n, x) for kind, n, x in family_leaves(spec)]
     return factors[0] if len(factors) == 1 else cartesian(factors)
-
-
-def from_family_string(text: str) -> SignedGraph:
-    """One-step parse and build, e.g. ``from_family_string("cycle:n=5,r=2")``."""
-    return build_family(parse_family(text))

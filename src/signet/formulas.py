@@ -2,11 +2,13 @@
 
 Nothing in this module calls an eigensolver; every value comes from an
 explicit cosine or integer expression, so these functions and the dense
-solver can cross-validate each other.  The leaf forms (paths, cycles,
-complete graphs), the NEPS sum rule and the line-graph rule are what
-:mod:`signet.structured` composes into the spectra of products, grids,
-cylinders, tori and line graphs; the tests state the paper's displays over those
-composed nodes.
+solver can cross-validate each other.  The leaf forms (the adjacency
+spectra of paths, cycles and complete graphs, and the path Laplacian), the
+NEPS sum rule and the line-graph rule are what :mod:`signet.structured`
+composes into the spectra of products, grids, cylinders, tori and line
+graphs.  The Laplacians of cycles and complete graphs are not here: they are
+k - lambda of a k-regular graph, a law the structured nodes state once.  The
+tests state the paper's displays over those composed nodes.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ __all__ = [
     "path_spectrum",
     "path_laplacian_spectrum",
     "cycle_spectrum",
-    "cycle_laplacian_spectrum",
     "complete_spectrum",
-    "complete_laplacian_spectrum",
     "neps_sum",
     "line_spectrum_general",
 ]
@@ -62,31 +62,11 @@ def cycle_spectrum(n: int, r: int) -> list[float]:
     return [2.0 * math.cos((2 * j - t) * math.pi / n) for j in range(1, n + 1)]
 
 
-def cycle_laplacian_spectrum(n: int, r: int) -> list[float]:
-    """Laplacian eigenvalues 2(1 - cos((2j - [r]) pi / n)); 0 occurs iff r even."""
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    t = parity(r)
-    return [2.0 * (1.0 - math.cos((2 * j - t) * math.pi / n)) for j in range(1, n + 1)]
-
-
 def complete_spectrum(n: int, sign: int) -> list[float]:
     """Adjacency eigenvalues of sign * K_n: (n-1) sign once, -sign n-1 times."""
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
     return [float((n - 1) * sign)] + [float(-sign)] * (n - 1)
-
-
-def complete_laplacian_spectrum(n: int, sign: int) -> list[float]:
-    """Laplacian eigenvalues of sign * K_n: {0, n x (n-1)} for +K_n and the
-    signless {2n-2, n-2 x (n-1)} for -K_n."""
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
-    if sign == 1:
-        return [0.0] + [float(n)] * (n - 1)
-    if sign == -1:
-        return [float(2 * n - 2)] + [float(n - 2)] * (n - 1)
-    raise ValueError("sign must be +1 or -1")
 
 
 # ---------------------------------------------------------------------------

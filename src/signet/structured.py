@@ -6,23 +6,27 @@ A graph is a tree of nodes: a **leaf** (path, cycle, complete graph), a
 tori are Cartesian products of two leaves.  Every field of a node is computed
 on first use, bottom-up, by the cheapest exact rule:
 
-- **leaf**: the closed forms of :mod:`signet.formulas`; balance counts
-  follow from the parameters.
+- **leaf**: the adjacency closed forms of :mod:`signet.formulas` and the
+  path Laplacian; balance counts follow from the parameters.
 - **product**: adjacency eigenvalues are the NEPS sums over the basis of
   products of one factor eigenvalue per factor; order, size and extreme
-  degrees follow from the factors'.  The Laplacian is the Cartesian sum of
-  the factors' Laplacian values for the Cartesian basis, k - lambda for a
-  k-regular product, and otherwise the dense leaf of the built product.  b,
-  c and c_b multiply for the Cartesian basis; for any other basis they come
-  from the balance sweep of the built product, which solves nothing.
+  degrees follow from the factors'.  For the Cartesian basis the Laplacian
+  is the Cartesian sum of the factors' Laplacian values, and b, c and c_b
+  multiply; for any other basis balance comes from the balance sweep of
+  the built product, which solves nothing.
 - **line graph**: adjacency eigenvalues 2 - mu over the n - b positive base
   Laplacian eigenvalues plus 2 repeated m - n + b times; balance from
-  :func:`line_balance` over the base's components.  The Laplacian is
-  2(k - 1) - lambda over a k-regular base, the path closed form over a path,
-  and otherwise the dense leaf of the built line graph.
+  :func:`line_balance` over the base's components.  Over a non-regular base
+  the Laplacian, size and degrees come from the path leaf when the base is
+  a path, and otherwise from the dense leaf of the built line graph.
 - **dense leaf**: LAPACK on a built graph, and its breadth-first balance
   sweep.  Only dense leaves solve, and :func:`dense_node` is the one route
   from a built graph to its spectra and energies.
+
+A Laplacian that no rule above gives is k - lambda over a k-regular graph
+(L = kI - A: cycles, complete graphs, regular products, line graphs of
+regular graphs), and otherwise the dense leaf's.  ``graph`` builds the graph
+with the constructors of :mod:`signet.families`, ``products`` and ``linegraph``.
 
 Modules are called through their attributes, so a function replaced on its
 module (a test double, a tracer) is the one that runs.
@@ -97,6 +101,19 @@ class SpectralNode:
         """The dense leaf of the built graph, for the fields no rule gives."""
         return dense_node(self.graph)
 
+    def _own_laplacian(self) -> np.ndarray | None:
+        """The node's own Laplacian rule, tried before the regular law; None where it has none."""
+        return None
+
+    @graphs.lazy_field
+    def laplacian(self) -> np.ndarray:
+        """The node's own rule, else k - lambda over a k-regular graph (L = kI - A), else the dense leaf's."""
+        values = self._own_laplacian()
+        if values is not None:
+            return values
+        k = self.regular
+        return np.sort(float(k) - self.adjacency) if k is not None else self._built.laplacian
+
     @property
     def energy(self) -> float:
         return spectra.energy_from_spectrum(self.adjacency.tolist())
@@ -131,15 +148,8 @@ class _Leaf(SpectralNode):
             values = formulas.complete_spectrum(self.n, self.x)
         return np.sort(values)
 
-    @graphs.lazy_field
-    def laplacian(self) -> np.ndarray:
-        if self.kind == "path":
-            values = formulas.path_laplacian_spectrum(self.n)
-        elif self.kind == "cycle":
-            values = formulas.cycle_laplacian_spectrum(self.n, self.x)
-        else:
-            values = formulas.complete_laplacian_spectrum(self.n, self.x)
-        return np.sort(values)
+    def _own_laplacian(self) -> np.ndarray | None:
+        return np.sort(formulas.path_laplacian_spectrum(self.n)) if self.kind == "path" else None
 
     @graphs.lazy_field
     def graph(self) -> graphs.SignedGraph:
@@ -230,14 +240,10 @@ class _Product(SpectralNode):
     def adjacency(self) -> np.ndarray:
         return np.sort(formulas.neps_sum([f.adjacency for f in self.factors], self.basis.vectors))
 
-    @graphs.lazy_field
-    def laplacian(self) -> np.ndarray:
-        if self.cartesian:
-            return np.sort(formulas.neps_sum([f.laplacian for f in self.factors], self.basis.vectors))
-        k = self.regular
-        if k is not None:
-            return np.sort(float(k) - self.adjacency)
-        return self._built.laplacian
+    def _own_laplacian(self) -> np.ndarray | None:
+        if not self.cartesian:
+            return None
+        return np.sort(formulas.neps_sum([f.laplacian for f in self.factors], self.basis.vectors))
 
     @graphs.lazy_field
     def balance(self) -> tuple[int, int, int]:
@@ -314,10 +320,8 @@ class _Line(SpectralNode):
         base = self.base
         return np.asarray(formulas.line_spectrum_general(base.laplacian, base.m, base.n, base.b), dtype=float)
 
-    @graphs.lazy_field
-    def laplacian(self) -> np.ndarray:
-        k = self.base.regular
-        return np.sort(2.0 * (k - 1) - self.adjacency) if k is not None else self._source.laplacian
+    def _own_laplacian(self) -> np.ndarray | None:
+        return None if self.laplacian_rule == "regular" else self._source.laplacian
 
     @graphs.lazy_field
     def balance(self) -> tuple[int, int, int]:

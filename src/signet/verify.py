@@ -95,11 +95,11 @@ def _multiset_close(a, b, tol: float = 1e-8) -> bool:
     return all(abs(x - y) <= tol for x, y in zip(a, b))
 
 
-def kirchhoff_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 200) -> SuiteResult:
+def kirchhoff_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """incidence @ incidence.T equals the Laplacian, exactly, in integers."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("kirchhoff")
-    for i in range(count):
+    for i in range(200):
         g = _random_graph(rng, max_n)
         h = incidence(g)
         ok = np.array_equal(h @ h.T, laplacian(g))
@@ -107,11 +107,11 @@ def kirchhoff_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 200) 
     return result
 
 
-def rank_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 200) -> SuiteResult:
+def rank_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Exact rational rank of the Laplacian is n minus balanced components."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("rank")
-    for i in range(count):
+    for i in range(200):
         g = _random_graph(rng, max_n)
         rep = balance_report(g)
         got = rank_exact(laplacian(g))
@@ -122,12 +122,12 @@ def rank_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 200) -> Su
     return result
 
 
-def acharya_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 200) -> SuiteResult:
+def acharya_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Balanced iff cospectral with the all-positive underlying graph."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("acharya")
     solve = _Solves()
-    for i in range(count):
+    for i in range(200):
         g = _random_graph(rng, max_n)
         same = _multiset_close(solve.adjacency(g), solve.adjacency(underlying(g)))
         balanced = balance_report(g).balanced
@@ -138,12 +138,10 @@ def acharya_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 200) ->
     return result
 
 
-def _random_factors(rng, max_order: int = 64) -> list[SignedGraph]:
-    while True:
-        nu = int(rng.integers(1, 4))
-        orders = [int(rng.integers(1, 5)) for _ in range(nu)]
-        if math.prod(orders) <= max_order:
-            break
+def _random_factors(rng, max_n: int) -> list[SignedGraph]:
+    """One to three random factors of orders 1..min(4, max_n)."""
+    nu = int(rng.integers(1, 4))
+    orders = [int(rng.integers(1, min(4, max_n) + 1)) for _ in range(nu)]
     return [random_signed_graph(rng, n, float(rng.choice([0.3, 0.6, 0.9]))) for n in orders]
 
 
@@ -160,12 +158,12 @@ def _random_basis(rng, nu: int) -> Basis:
             return Basis(nu, tuple(chosen))
 
 
-def neps_matrix_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 100) -> SuiteResult:
+def neps_matrix_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Product adjacency equals the Kronecker sum over the basis, exactly."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("neps-matrix")
-    for i in range(count):
-        factors = _random_factors(rng)
+    for i in range(100):
+        factors = _random_factors(rng, max_n)
         basis = _random_basis(rng, len(factors))
         built = adjacency(neps(factors, basis))
         summed = kron_sum_over_basis([adjacency(f) for f in factors], basis)
@@ -176,21 +174,22 @@ def neps_matrix_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 100
     return result
 
 
-def _factors_with_edges(rng, max_order: int = 64) -> list[SignedGraph]:
+def _factors_with_edges(rng, max_n: int) -> list[SignedGraph]:
+    # Every factor needs an edge, so factors of order 2 must be allowed.
     while True:
-        factors = _random_factors(rng, max_order)
+        factors = _random_factors(rng, max(max_n, 2))
         if all(f.m > 0 for f in factors):
             return factors
 
 
-def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 60) -> SuiteResult:
+def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Per-vertex energy of a product is bounded by the basis sum of factor
     energies; equality for the tensor basis, strict otherwise."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("energy-bounds")
     solve = _Solves()
-    for i in range(count):
-        factors = _factors_with_edges(rng)
+    for i in range(60):
+        factors = _factors_with_edges(rng, max_n)
         nu = len(factors)
         basis = _random_basis(rng, nu)
         g = neps(factors, basis)
@@ -249,7 +248,7 @@ def _closed_form_cases(max_n: int):
             yield f"path:n={n},r={r}", False, True, True
 
 
-def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED, count: int = 0) -> SuiteResult:
+def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteResult:
     """The structured family nodes that ``spectrum --family`` answers with,
     and their line-graph rules, match the dense solver within 1e-8."""
     result = SuiteResult("closed-forms")
@@ -278,12 +277,12 @@ def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED, count: int = 0)
     return result
 
 
-def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED, count: int = 150) -> SuiteResult:
+def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Line-graph matrix identity and spectrum reconstruction on random graphs."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("line-theorems")
     solve = _Solves()
-    for i in range(count):
+    for i in range(150):
         g = _random_graph(rng, max_n)
         lg = line_graph(g).graph
         h = incidence(g)

@@ -11,15 +11,15 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import assert_multiset_close
+from conftest import TEST_SEED, assert_multiset_close
 
 import signet
 from signet import formulas
 from signet.cli import main
-from signet.families import complete, cycle, grid, path
+from signet.families import build_family, complete, cycle, grid, parse_family, path, random_signed_graph
 from signet.graphs import adjacency, degree_matrix, dumps, laplacian, loads, to_json_dict
 from signet.linegraph import line_graph
-from signet.products import Basis, neps
+from signet.products import Basis, cartesian_basis, neps, p_sum_basis, strong_basis
 
 
 def run(capsys, *argv):
@@ -106,7 +106,7 @@ def test_out_of_memory_exits_two(monkeypatch, capsys):
     def fail(factors, basis):
         raise MemoryError("Unable to allocate 5.86 GiB for an array")
 
-    monkeypatch.setattr("signet.cli.neps", fail)
+    monkeypatch.setattr("signet.products.neps", fail)
     code, out, err = run(capsys, "product", "--family", "path:n=2", "--family", "path:n=2")
     assert code == 2
     assert out == ""
@@ -237,6 +237,58 @@ def test_product_matrix_output_is_the_graph_law_encoding(capsys):
     assert out == json.dumps(want) + "\n"
 
 
+FILE = "--file"  # a factor read from a JSON document
+
+
+def _inputs(factors, tmp_path):
+    """The argv and the graphs built by `build_family` (or read) of ``factors``."""
+    doc = tmp_path / "factor.json"
+    doc.write_text(dumps(random_signed_graph(np.random.default_rng(TEST_SEED + 72), 4, 0.7)))
+    argv, graphs = [], []
+    for factor in factors:
+        if factor == FILE:
+            argv += ["--file", str(doc)]
+            graphs.append(loads(doc.read_text()))
+        else:
+            argv += ["--family", factor]
+            graphs.append(build_family(parse_family(factor)))
+    return argv, graphs
+
+
+@pytest.mark.parametrize(
+    "factors, basis, want",
+    [
+        (["grid:m=2,r1=1,n=3", "torus:m=3,n=3,r2=1"], "cartesian", cartesian_basis(2)),
+        (["cylinder:m=3,r1=1,n=2,r2=1", FILE], "strong", strong_basis(2)),
+        (["grid:m=2,n=2,r2=1", FILE, "cylinder:m=3,n=2"], "p=2", p_sum_basis(3, 2)),
+        ([FILE, "torus:m=3,r1=1,n=4", "complete:n=3,sign=-"], "011,100", Basis(3, ((0, 1, 1), (1, 0, 0)))),
+    ],
+)
+def test_product_prints_the_graph_neps_builds(tmp_path, capsys, factors, basis, want):
+    argv, graphs = _inputs(factors, tmp_path)
+    g = neps(graphs, want)
+    code, out, _ = run(capsys, "product", *argv, "--basis", basis)
+    assert (code, out) == (0, dumps(g) + "\n")
+    code, out, _ = run(capsys, "product", *argv, "--basis", basis, "--matrix")
+    matrices = {
+        "graph": to_json_dict(g),
+        "adjacency": adjacency(g).tolist(),
+        "degree": degree_matrix(g).tolist(),
+        "laplacian": laplacian(g).tolist(),
+    }
+    assert (code, out) == (0, json.dumps(matrices) + "\n")
+
+
+@pytest.mark.parametrize(
+    "factor",
+    ["grid:m=3,r1=1,n=4,r2=2", "cylinder:m=4,r1=1,n=3", "torus:m=3,n=4,r2=1", "complete:n=5,sign=-", "path:n=1", FILE],
+)
+def test_line_prints_the_graph_line_graph_builds(tmp_path, capsys, factor):
+    argv, (g,) = _inputs([factor], tmp_path)
+    code, out, _ = run(capsys, "line", *argv)
+    assert (code, out) == (0, dumps(line_graph(g).graph) + "\n")
+
+
 def test_product_needs_two_inputs(capsys):
     code, _, err = run(capsys, "product", "--family", "path:n=2")
     assert code == 2
@@ -296,16 +348,26 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
     assert err == "signet: graph document is nested too deeply\n"
 
 
+# The child caps its own address space at 512 MiB, so work that should not
+# happen fails with an out-of-memory exit instead of filling the machine.
+ADDRESS_CAP = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
+
+
 def test_line_of_a_huge_edgeless_graph_is_immediate(tmp_path):
-    """The line graph's work grows with the edges, not with n.  The child
-    caps its own address space at 512 MiB, so work that grows with n fails
-    with an out-of-memory exit instead of filling the machine."""
+    """The line graph's work grows with the edges, not with n."""
     doc = tmp_path / "huge.json"
     doc.write_text('{"n": 100000000000000000000000000000, "edges": []}')
-    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
-    command, env = _signet_command("line", "--file", str(doc), prelude=cap)
+    command, env = _signet_command("line", "--file", str(doc), prelude=ADDRESS_CAP)
     proc = subprocess.run(command, capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS="1"), timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b'{"n": 0, "edges": []}\n', b"")
+
+
+def test_product_refuses_a_bad_basis_before_building_any_factor():
+    """K_100000 has 5e9 edges; a basis of the wrong arity is refused first."""
+    argv = ["product", "--family", "complete:n=100000", "--family", "path:n=2", "--basis", "111"]
+    command, env = _signet_command(*argv, prelude=ADDRESS_CAP)
+    proc = subprocess.run(command, capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS="1"), timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"signet: pattern (1, 1, 1) has length 3, expected 2\n")
 
 
 def test_verify_command_runs_suites(capsys):
@@ -330,6 +392,23 @@ def test_suites_solve_each_distinct_matrix_once(monkeypatch, capsys):
         code, out, _ = run(capsys, "verify", suite, "--max", "5", "--seed", "9")
         assert code == 0, out
         assert solved and len(solved) == len(set(solved)), suite
+
+
+@pytest.mark.parametrize("suite, cap, orders", [("neps-matrix", 1, 1), ("neps-matrix", 3, 3), ("energy-bounds", 1, 2)])
+def test_product_suites_draw_factor_orders_within_max(monkeypatch, capsys, suite, cap, orders):
+    # energy-bounds needs an edge in every factor, so it draws orders up to 2 at --max 1.
+    from signet import verify
+
+    drawn = []
+
+    def recording(rng, n, p):
+        drawn.append(n)
+        return random_signed_graph(rng, n, p)
+
+    monkeypatch.setattr(verify, "random_signed_graph", recording)
+    code, out, _ = run(capsys, "verify", suite, "--max", str(cap), "--seed", "4")
+    assert code == 0, out
+    assert drawn and max(drawn) == orders
 
 
 def test_closed_forms_suite_fails_on_a_wrong_cycle_form(monkeypatch, capsys):

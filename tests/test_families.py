@@ -13,7 +13,6 @@ from signet.families import (
     complete,
     cycle,
     cylinder,
-    from_family_string,
     grid,
     parse_family,
     path,
@@ -115,8 +114,8 @@ def test_parse_family_strings():
         "complete", {"n": 4, "sign": -1}
     )
     assert build_family(parse_family("torus:m=4,r1=1,n=5,r2=0")) == torus(4, 1, 5, 0)
-    assert from_family_string("cycle:n=6") == cycle(6, 0)
-    assert from_family_string("complete:n=3,sign=+1") == complete(3, 1)
+    assert build_family(parse_family("cycle:n=6")) == cycle(6, 0)
+    assert build_family(parse_family("complete:n=3,sign=+1")) == complete(3, 1)
 
 
 def test_parse_family_rejects_bad_strings():
@@ -131,10 +130,10 @@ def test_parse_family_rejects_bad_strings():
         "grid:m=2,n=2,r1=0,r2=0,extra=1",
     ):
         with pytest.raises(ValueError):
-            from_family_string(text)
+            build_family(parse_family(text))
 
 
 def test_family_defaults():
-    assert from_family_string("path:n=4") == path(4, 0)
-    assert from_family_string("grid:m=2,n=3") == grid(2, 0, 3, 0)
-    assert from_family_string("complete:n=5") == complete(5, 1)
+    assert build_family(parse_family("path:n=4")) == path(4, 0)
+    assert build_family(parse_family("grid:m=2,n=3")) == grid(2, 0, 3, 0)
+    assert build_family(parse_family("complete:n=5")) == complete(5, 1)

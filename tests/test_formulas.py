@@ -24,7 +24,7 @@ from signet.families import (
 from signet.graphs import SignedGraph, balance_report, negate
 from signet.linegraph import line_graph
 from signet.spectra import energy_from_spectrum
-from signet.structured import dense_node, spectral_node
+from signet.structured import dense_node, leaf_node, spectral_node
 
 
 def test_parity_bracket():
@@ -67,12 +67,28 @@ def test_cycle_spectrum_depends_only_on_parity():
 def test_cycle_laplacian_zero_iff_even_signature():
     for n in (3, 4, 7):
         for r in range(n + 1):
-            lap = formulas.cycle_laplacian_spectrum(n, r)
+            lap = leaf_node("cycle", n, r).laplacian
             has_zero = any(abs(v) <= 1e-9 for v in lap)
             assert has_zero == (r % 2 == 0)
             g = cycle(n, r)
             assert_multiset_close(dense_node(g).laplacian, lap)
             assert_multiset_close(dense_node(g).adjacency, formulas.cycle_spectrum(n, r))
+
+
+def test_regular_leaf_laplacians_are_the_papers_displays():
+    # k - lambda of the adjacency closed forms, bit for bit: 2(1 - cos x) and
+    # 2 - 2 cos x round alike because doubling is exact, and the complete
+    # graphs' values are small integers.
+    for n in range(3, 40):
+        j = np.arange(1, n + 1)
+        for r in range(4):
+            want = np.sort(2.0 * (1.0 - np.cos((2 * j - r % 2) * np.pi / n)))
+            assert np.array_equal(leaf_node("cycle", n, r).laplacian, want), (n, r)
+    for n in range(1, 40):
+        plus = np.sort(np.r_[0.0, np.full(n - 1, float(n))])  # {0, n^(n-1)}
+        minus = np.sort(np.r_[2.0 * n - 2, np.full(n - 1, n - 2.0)])  # {2n-2, (n-2)^(n-1)}
+        assert np.array_equal(leaf_node("complete", n, 1).laplacian, plus), n
+        assert np.array_equal(leaf_node("complete", n, -1).laplacian, minus), n
 
 
 # --- two-dimensional grids (structured nodes) --------------------------------

@@ -90,7 +90,7 @@ def test_product_tree_equals_dense_route_on_random_factor_sets():
     rng = np.random.default_rng(TEST_SEED + 70)
     lined = 0
     for i in range(200):
-        factors = _random_factors(rng)
+        factors = _random_factors(rng, 4)
         basis = _random_basis(rng, len(factors))
         g = neps(factors, basis)
         label = f"case {i}: {basis.vectors} over {factors}"

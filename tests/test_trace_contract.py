@@ -18,7 +18,7 @@ from time import perf_counter
 import pytest
 
 import signet
-from signet import cli, families, graphs
+from signet import cli, families, graphs, products
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -53,7 +53,7 @@ def test_traced_requests_record_canonicalisation_and_json_writing(tracer_module,
         "__post_init__": graphs.SignedGraph.__dict__["__post_init__"],
         "graphs.dumps": graphs.dumps,
         "cli.dumps": cli.dumps,
-        "cli.neps": cli.neps,
+        "products.neps": products.neps,
     }
     tracer = tracer_module.Tracer()
     latencies = _traced(
@@ -77,8 +77,11 @@ def test_traced_requests_record_canonicalisation_and_json_writing(tracer_module,
     assert summary["metrics"]["spectra.solve_calls"] == 0
 
     assert graphs.SignedGraph.__dict__["__post_init__"] is originals["__post_init__"]
-    assert (graphs.dumps, cli.dumps, cli.neps) == (originals["graphs.dumps"], originals["cli.dumps"], originals["cli.neps"])
-    assert signet.dumps is graphs.dumps
+    assert (graphs.dumps, cli.dumps, products.neps) == (
+        originals["graphs.dumps"],
+        originals["cli.dumps"],
+        originals["products.neps"],
+    )
 
 
 def test_traced_line_and_file_requests_count_edges_and_solves(tracer_module, tmp_path, capsys):
@@ -98,6 +101,14 @@ def test_traced_line_and_file_requests_count_edges_and_solves(tracer_module, tmp
     assert {"graphs.loads", "spectra.eigenvalues"} <= names[1]
     assert tracer.counts[0]["linegraph.edges_out"] == 30  # 5 vertices of K_5, C(4, 2) edge pairs at each
     assert tracer.counts[1]["spectra.solve_calls"] == 2  # the adjacency and the Laplacian of C_5
+    assert tracer.summary(latencies)["consistent"]
+
+
+def test_traced_line_of_a_grid_records_the_product_and_the_line_graph(tracer_module, capsys):
+    tracer = tracer_module.Tracer()
+    latencies = _traced(tracer, (["line", "--family", "grid:m=3,n=4"],))
+    capsys.readouterr()
+    assert {"products.neps", "linegraph.line_graph"} <= {span[3] for span in tracer.spans}
     assert tracer.summary(latencies)["consistent"]
 
 
