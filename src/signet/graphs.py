@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import operator
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,10 +77,11 @@ class SignedGraph:
     sorted lexicographically, so equal graphs compare equal and every
     derived matrix is reproducible.  They are given either as triples or as
     one int64 array of shape (m, 3), the form :func:`signet.products.neps`
-    builds.  The graph keeps the form it was given and derives the other on
-    first use: ``edges`` as a tuple of int triples, ``edge_array`` as a
-    read-only int64 array.  An array shorter than ``ARRAY_MIN_EDGES`` rows
-    is kept as triples; ``from_array`` tells which form was kept.
+    builds and :func:`loads` reads.  The graph keeps the form it was given
+    and derives the other on first use: ``edges`` as a tuple of int triples,
+    ``edge_array`` as a read-only int64 array.  An array shorter than
+    ``ARRAY_MIN_EDGES`` rows is kept as triples; ``from_array`` tells which
+    form was kept.
     """
 
     n: int
@@ -232,7 +235,9 @@ def adjacency(g: SignedGraph) -> np.ndarray:
 
 
 def degrees(g: SignedGraph) -> np.ndarray:
-    """Unsigned vertex degrees."""
+    """Unsigned vertex degrees, counted from the form the graph was built from."""
+    if g.from_array:
+        return np.bincount(g.edge_array[:, :2].ravel(), minlength=g.n)
     d = [0] * g.n
     for u, v, _ in g.edges:
         d[u] += 1
@@ -307,13 +312,20 @@ def _adjacency_lists(g: SignedGraph) -> list[list[tuple[int, int]]]:
 
 
 def balance_report(g: SignedGraph) -> BalanceReport:
-    """Decompose into components and decide balance of each.
+    """Decompose into components and decide balance of each, sweeping the
+    form the graph was built from.
 
-    A breadth-first spanning tree fixes a tentative switching (root +1,
-    child = parent * edge sign); the component is balanced exactly when all
-    non-tree edges also become positive under it.  The same sweep two-colours
-    the underlying graph to count bipartite components.
+    Triples: a breadth-first spanning tree fixes a tentative switching (root
+    +1, child = parent * edge sign); the component is balanced exactly when
+    all non-tree edges also become positive under it.  The same sweep
+    two-colours the underlying graph to count bipartite components.
+
+    Edge array: :func:`_balance_from_covers`, with no per-edge Python work.
+    Components are listed by least vertex either way, each with its
+    vertices in increasing order.
     """
+    if g.from_array:
+        return _balance_from_covers(g)
     nbrs = _adjacency_lists(g)
     comp_id = [-1] * g.n
     sigma = [1] * g.n
@@ -361,6 +373,68 @@ def balance_report(g: SignedGraph) -> BalanceReport:
     )
 
 
+def _cover_components(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's component in the graph on
+    0..size-1 with edges (a[i], b[i]), given ``label = np.arange(size)``.
+
+    Union-find in whole-array steps: every root is hooked to the least root
+    it shares an edge with (``np.minimum.at``), then pointers jump until
+    each vertex points at its root.  Each step hooks at least one root, and
+    labels only decrease, so the loop ends with every edge inside a tree.
+    """
+    la, lb = a, b  # the labels of the edges' ends, each vertex its own root at first
+    while not (la == lb).all():
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+        la, lb = label[a], label[b]
+    return label
+
+
+def _balance_from_covers(g: SignedGraph) -> BalanceReport:
+    """:func:`balance_report` of an edge-array graph, from two double covers.
+
+    Each vertex v has lifts v+ and v-.  In the signed double cover a
+    positive edge joins like lifts (u+ v+, u- v-) and a negative edge
+    opposite ones (u+ v-, u- v+); the all-negative cover joins opposite
+    lifts for every edge.  A component with least vertex r is balanced iff
+    its lift splits in two, that is r+ and r- lie in different cover
+    components (Zaslavsky, "Signed graphs", Discrete Appl. Math. 4, 1982),
+    and bipartite iff the same holds in the all-negative cover.  With cover
+    components labelled by least vertex, one of v+ and v- carries r, and
+    ``switch[v]`` is +1 iff v+ does: the switching that makes a balanced
+    component all positive, and +1 throughout an unbalanced one, where
+    both lifts carry r.
+    """
+    n = g.n
+    label = np.arange(4 * n)  # first: an order too large to label fails here, before a lift overflows
+    u, v, s = g.edge_array.T
+    flip = np.where(s < 0, n, 0)
+    # Signed cover on 0..2n-1 (v+ = v, v- = v + n), all-negative cover on 2n..4n-1.
+    label = _cover_components(
+        label,
+        np.concatenate((u, u + n, u + 2 * n, u + 3 * n)),
+        np.concatenate((v + flip, v + n - flip, v + 3 * n, v + 2 * n)),
+    )
+    root = np.minimum(label[:n], label[n : 2 * n])
+    roots = np.flatnonzero(root == np.arange(n))
+    balanced = (label[roots + n] != roots).tolist()
+    bipartite = (label[roots + 3 * n] != roots + 2 * n).tolist()
+    members = np.argsort(root, kind="stable").tolist()  # by component, then by vertex
+    ends = np.cumsum(np.bincount(root)[roots]).tolist()
+    vertices = [tuple(members[i:j]) for i, j in zip([0, *ends], ends)]
+    return BalanceReport(
+        components=tuple(map(ComponentReport, vertices, balanced, bipartite)),
+        switch=tuple(np.where(label[:n] == root, 1, -1).tolist()),
+        b=sum(balanced),
+        c=len(roots),
+        c_b=sum(bipartite),
+    )
+
+
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
@@ -402,17 +476,19 @@ def from_json_dict(obj) -> SignedGraph:
     return SignedGraph(n, tuple(parsed))
 
 
-def dumps(g: SignedGraph) -> str:
-    """Canonical single-line JSON text, equal to ``json.dumps(to_json_dict(g))``.
+def _edge_list(a: np.ndarray) -> str:
+    """The JSON text of the rows of an int64 (m, 3) array, ``[u, v, s], ...``
+    with the separators of :func:`json.dumps`, written in one pass.
 
-    The edge list is written from the edge array in one pass: one row of
-    bytes per edge, ``[u, v, s], `` with u and v as fixed-width digit
-    columns whose leading zeros are NUL bytes, and the sign as an optional
-    ``-`` before ``1``.  Dropping every NUL leaves the JSON text.
+    One row of bytes per edge, ``[u, v, s], `` with u and v as fixed-width
+    digit columns whose leading zeros are NUL bytes, and the sign as an
+    optional ``-`` before ``1``.  Dropping every NUL leaves the JSON text.
+    A row with a negative endpoint, an endpoint wider than the largest v
+    or a sign other than +-1 comes out as some other text, which
+    :func:`loads` relies on.
     """
-    a = g.edge_array
     if not len(a):
-        return f'{{"n": {g.n}, "edges": []}}'
+        return ""
     width = len(str(int(a[:, 1].max())))  # v > u, so the largest endpoint is a v
     rows = np.zeros((len(a), 2 * width + 10), dtype=np.uint8)
     rows[:, 0] = ord("[")
@@ -427,11 +503,49 @@ def dumps(g: SignedGraph) -> str:
             q //= 10
     rows[a[:, 2] < 0, 2 * width + 5] = ord("-")
     rows[:, 2 * width + 6 :] = np.frombuffer(b"1], ", np.uint8)
-    text = rows[rows != 0].tobytes().decode("ascii")
-    return f'{{"n": {g.n}, "edges": [{text[:-2]}]}}'
+    return rows[rows != 0].tobytes().decode("ascii")[:-2]
+
+
+def dumps(g: SignedGraph) -> str:
+    """Canonical single-line JSON text, equal to ``json.dumps(to_json_dict(g))``,
+    with the edge list written from the edge array by :func:`_edge_list`."""
+    return f'{{"n": {g.n}, "edges": [{_edge_list(g.edge_array)}]}}'
+
+
+# The canonical document around its edge list, with JSON whitespace around
+# it and an order of at most 18 digits; loads checks the edge list itself.
+_CANONICAL_DOCUMENT = re.compile(
+    r'[ \t\n\r]*\{"n": (0|[1-9][0-9]{0,17}), "edges": \[(.*)\]\}[ \t\n\r]*', re.DOTALL
+)
 
 
 def loads(text: str) -> SignedGraph:
+    """The graph of a JSON document, as ``from_json_dict(json.loads(text))``.
+
+    Canonical text, the text :func:`dumps` writes for the edges in any
+    order, is read with no per-edge Python work: one pattern matches the
+    document around the edge list, one numpy call converts the list into
+    an int64 (m, 3) array, and the list must be exactly the text
+    :func:`_edge_list` writes back from that array.  So every integer is
+    an int64 without leading zeros and every sign is 1 or -1, and the array
+    holds the values the JSON route would parse.  The graph then checks
+    and keeps the array.  Any other text goes through :mod:`json` and
+    :func:`from_json_dict`, so both routes accept the same documents with
+    the same messages.
+    """
+    match = _CANONICAL_DOCUMENT.fullmatch(text)
+    if match:
+        n, edges = match.groups()
+        # Raises on most text that is not integer triples (older numpy only
+        # warns, so the warning is raised too); the round trip catches the rest.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                a = np.fromstring(edges.replace("[", "").replace("]", ""), dtype=np.int64, sep=",").reshape(-1, 3)
+            except (ValueError, DeprecationWarning):
+                a = None
+        if a is not None and _edge_list(a) == edges:
+            return SignedGraph(int(n), a)
     try:
         obj = json.loads(text)
     except RecursionError:

@@ -20,7 +20,6 @@ __all__ = [
     "eigenvalues",
     "energy_from_spectrum",
     "laplacian_energy_from_spectrum",
-    "multiplicity_of",
 ]
 
 
@@ -52,10 +51,3 @@ def laplacian_energy_from_spectrum(spectrum: Sequence[float], m: int) -> float:
     n = len(spectrum)
     d_bar = 2.0 * m / n if n else 0.0
     return float(sum(abs(v - d_bar) for v in spectrum))
-
-
-def multiplicity_of(values: Iterable[float], x: float, tol: float) -> int:
-    """Count eigenvalues within tol of x."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return sum(1 for v in values if abs(v - x) <= tol)

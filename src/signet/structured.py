@@ -16,12 +16,15 @@ on first use, bottom-up, by the cheapest exact rule:
   the built product, which solves nothing.
 - **line graph**: adjacency eigenvalues 2 - mu over the n - b positive base
   Laplacian eigenvalues plus 2 repeated m - n + b times; balance from
-  :func:`line_balance` over the base's components.  Over a non-regular base
-  the Laplacian, size and degrees come from the path leaf when the base is
-  a path, and otherwise from the dense leaf of the built line graph.
-- **dense leaf**: LAPACK on a built graph, and its breadth-first balance
-  sweep.  Only dense leaves solve, and :func:`dense_node` is the one route
-  from a built graph to its spectra and energies.
+  :func:`line_balance` over the base's components.  A dense base is read
+  without its isolated vertices, so its size, not its order, sets the cost.
+  Over a non-regular base the Laplacian, size and degrees come from the path
+  leaf when the base is a path, and otherwise from the dense leaf of the
+  built line graph.
+- **dense leaf**: LAPACK on a built graph, and the balance sweep of
+  :func:`signet.graphs.balance_report`.  Only dense leaves solve, and
+  :func:`dense_node` is the one route from a built graph to its spectra and
+  energies.
 
 A Laplacian that no rule above gives is k - lambda over a k-regular graph
 (L = kI - A: cycles, complete graphs, regular products, line graphs of
@@ -277,8 +280,24 @@ def line_balance(components: Iterable[tuple[int, bool, bool, int]]) -> tuple[int
     return b, c, c_b
 
 
+def _without_isolated(g: graphs.SignedGraph) -> graphs.SignedGraph:
+    """g with its isolated vertices dropped and the others relabelled in
+    order, which keeps the edge order; g itself when it has none."""
+    index = {x: i for i, x in enumerate(sorted({x for u, v, _ in g.edges for x in (u, v)}))}
+    if len(index) == g.n:
+        return g
+    return graphs.SignedGraph(len(index), tuple((index[u], index[v], s) for u, v, s in g.edges))
+
+
 class _Line(SpectralNode):
     def __init__(self, base: SpectralNode):
+        if isinstance(base, _Dense):
+            # An isolated vertex adds only a zero Laplacian eigenvalue and a
+            # balanced component: m - n + b, the positive mu, the components
+            # with an edge and the line graph itself stay the same without it.
+            g = _without_isolated(base.graph)
+            if g is not base.graph:
+                base = _Dense(g)
         self.base = base
 
     @graphs.lazy_field
@@ -339,7 +358,7 @@ def leaf_node(kind: str, n: int, x: int) -> SpectralNode:
 
 def dense_node(g: graphs.SignedGraph) -> SpectralNode:
     """Node of a built graph: one adjacency matrix, L = diag(|A| 1) - A,
-    LAPACK on each when asked for, and a breadth-first balance sweep."""
+    LAPACK on each when asked for, and the graph's balance sweep."""
     return _Dense(g)
 
 

@@ -43,3 +43,10 @@ def assert_multiset_close(actual, expected, tol: float = 1e-8):
             f"multisets differ, worst gap {worst:.3e} > {tol:.1e}\n"
             f"  got:      {a}\n  expected: {b}"
         )
+
+
+def multiplicity_of(values, x: float, tol: float) -> int:
+    """Count eigenvalues within tol of x."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return sum(1 for v in values if abs(v - x) <= tol)

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from conftest import TEST_SEED
+from conftest import TEST_SEED, multiplicity_of
 
 from signet.families import (
     build_family,
@@ -37,7 +37,6 @@ from signet.graphs import (
 from signet.linegraph import line_graph
 from signet.oracle import rank_exact
 from signet.products import Basis, cartesian, kron_sum_over_basis, neps, strong_basis
-from signet.spectra import multiplicity_of
 from signet.structured import dense_node, spectral_node
 
 

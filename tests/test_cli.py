@@ -15,11 +15,12 @@ from conftest import TEST_SEED, assert_multiset_close
 
 import signet
 from signet import formulas
-from signet.cli import main
+from signet.cli import _report, main
 from signet.families import build_family, complete, cycle, grid, parse_family, path, random_signed_graph
-from signet.graphs import adjacency, degree_matrix, dumps, laplacian, loads, to_json_dict
+from signet.graphs import ARRAY_MIN_EDGES, adjacency, degree_matrix, dumps, laplacian, loads, to_json_dict
 from signet.linegraph import line_graph
 from signet.products import Basis, cartesian_basis, neps, p_sum_basis, strong_basis
+from signet.structured import dense_node
 
 
 def run(capsys, *argv):
@@ -100,6 +101,25 @@ def test_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
         assert out == ""
         assert err.startswith("signet: numerical failure: ")
         assert "Traceback" not in err
+
+
+def test_spectrum_of_a_file_never_makes_edge_triples(tmp_path, monkeypatch, capsys):
+    """From the file text to the balance verdict, a graph of at least
+    ARRAY_MIN_EDGES edges stays one edge array, and the report is the one
+    the same graph kept as triples gives."""
+    g = random_signed_graph(np.random.default_rng(TEST_SEED + 90), 40, 0.3)
+    assert g.m >= ARRAY_MIN_EDGES and not g.from_array
+    doc = tmp_path / "g.json"
+    doc.write_text(json.dumps(to_json_dict(g)))
+    read = []
+    monkeypatch.setattr("signet.cli.loads", lambda text: read.append(loads(text)) or read[-1])
+    code, out, _ = run(capsys, "spectrum", "--file", str(doc))
+    code_csv, out_csv, _ = run(capsys, "spectrum", "--file", str(doc), "--csv")
+    assert len(read) == 2 and all(h.from_array and "edges" not in vars(h) for h in read)
+    assert (code, code_csv) == (0, 0)
+    want = dense_node(g)
+    assert out == json.dumps(_report(want)) + "\n"
+    assert out_csv == "\n".join("%.12g" % v for v in want.adjacency) + "\n"
 
 
 def test_out_of_memory_exits_two(monkeypatch, capsys):
@@ -360,6 +380,24 @@ def test_line_of_a_huge_edgeless_graph_is_immediate(tmp_path):
     command, env = _signet_command("line", "--file", str(doc), prelude=ADDRESS_CAP)
     proc = subprocess.run(command, capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS="1"), timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b'{"n": 0, "edges": []}\n', b"")
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        (["--line", "--csv"], "0\n"),
+        (["--line"], '{"spectrum": [0.0], "laplacian_spectrum": [0.0], "energy": 0.0, "laplacian_energy": 0.0, '
+         '"balance": {"b": 1, "c": 1, "c_b": 1, "balanced": true}}\n'),
+    ],
+    ids=["csv", "report"],
+)
+def test_line_spectrum_of_a_huge_graph_with_one_edge(tmp_path, flags, want):
+    """The line graph is one vertex; the base is read without its 3e9 isolated vertices."""
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"n": 3000000000, "edges": [[0, 1, 1]]}')
+    command, env = _signet_command("spectrum", "--file", str(doc), *flags, prelude=ADDRESS_CAP)
+    proc = subprocess.run(command, capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS="1"), timeout=10)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (0, want, b"")
 
 
 def test_product_refuses_a_bad_basis_before_building_any_factor():

@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TEST_SEED, assert_multiset_close
 
@@ -339,6 +342,38 @@ def test_balanced_component_budget_without_isolated_vertices():
         tested += 1
 
 
+def _balance_cases(rng):
+    """n = 0, edgeless graphs, isolated vertices, many components, trees,
+    balanced graphs with nontrivial switchings and all-negative graphs."""
+    yield SignedGraph(0)
+    yield SignedGraph(1)
+    yield SignedGraph(7)
+    yield SignedGraph(40, tuple((2 * k, 2 * k + 1, (-1) ** k) for k in range(20)))  # 20 components
+    for _ in range(150):
+        n = int(rng.integers(1, 60))
+        g = random_signed_graph(rng, n, float(rng.choice([0.01, 0.03, 0.06, 0.15, 0.5])))
+        yield g
+        yield switch(underlying(g), [int(x) for x in rng.choice((1, -1), size=n)])
+        yield negate(underlying(g))
+
+
+def test_array_balance_sweep_equals_the_breadth_first_sweep(monkeypatch):
+    """The double-cover sweep of an edge-array graph against the
+    breadth-first sweep of the same graph kept as triples."""
+    monkeypatch.setattr(graph_module, "ARRAY_MIN_EDGES", 0)
+    for g in _balance_cases(np.random.default_rng(TEST_SEED + 9)):
+        h = SignedGraph(g.n, g.edge_array)
+        assert h.from_array and not g.from_array
+        want, got = balance_report(g), balance_report(h)
+        assert "edges" not in vars(h)
+        assert (got.b, got.c, got.c_b) == (want.b, want.c, want.c_b), g
+        assert got.components == want.components, g  # vertices and both verdicts
+        assert len(got.switch) == g.n
+        for comp in want.components:
+            if comp.balanced:  # the certificate with +1 at the least vertex is unique there
+                assert [got.switch[v] for v in comp.vertices] == [want.switch[v] for v in comp.vertices], g
+
+
 def test_doubly_balanced_means_bipartite():
     rng = np.random.default_rng(TEST_SEED + 8)
     for _ in range(200):
@@ -392,6 +427,15 @@ def test_json_dict_shape():
     assert from_json_dict({"n": 3, "edges": [[0, 2, -1]]}) == g
 
 
+def _assert_loads_rejects_as_the_dict_reader(doc):
+    """``loads`` of the document's text fails with the message that
+    :func:`from_json_dict` gives for the document."""
+    with pytest.raises(ValueError) as caught:
+        from_json_dict(doc)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(caught.value))}$"):
+        loads(json.dumps(doc))
+
+
 def test_json_reader_rejects_bad_documents():
     for doc in (
         [],  # not an object
@@ -404,8 +448,7 @@ def test_json_reader_rejects_bad_documents():
         {"n": 2.5, "edges": []},  # non-integer order
         {"n": True, "edges": []},  # bool masquerading as int
     ):
-        with pytest.raises(ValueError):
-            from_json_dict(doc)
+        _assert_loads_rejects_as_the_dict_reader(doc)
 
 
 @pytest.mark.parametrize(
@@ -422,3 +465,152 @@ def test_json_reader_rejects_bad_documents():
 def test_json_reader_rejects_non_integer_edge_entries(entry):
     with pytest.raises(ValueError, match=r"^edge entries must be integers, got " + re.escape(repr(entry)) + "$"):
         from_json_dict({"n": 3, "edges": [[0, 2, 1], entry]})
+    _assert_loads_rejects_as_the_dict_reader({"n": 3, "edges": [[0, 2, 1], entry]})
+
+
+def _read_both_ways(text):
+    """What ``loads`` and ``from_json_dict(json.loads(text))`` make of text:
+    the graph, or the error's type and message."""
+
+    def outcome(read):
+        try:
+            return read(text)
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+
+    return outcome(loads), outcome(lambda t: from_json_dict(json.loads(t)))
+
+
+# A sorted 40-edge list, long enough to be kept as an array.
+_EDGES = [[u, u + 1 + k, (-1) ** (u + k)] for u in range(20) for k in range(2)]
+_TEXT = json.dumps({"n": 25, "edges": _EDGES})
+
+
+def _with(changes, n=25, extra=()):
+    """The document with the edges at the given indices replaced, and
+    ``extra`` edges appended."""
+    edges = [changes.get(i, edge) for i, edge in enumerate(_EDGES)] + list(extra)
+    return json.dumps({"n": n, "edges": edges})
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        pytest.param(_TEXT, True, id="canonical"),
+        pytest.param(json.dumps({"n": 25, "edges": _EDGES[::-1]}), True, id="unsorted"),
+        pytest.param(" \t\r\n" + _TEXT + "\n ", True, id="json-whitespace-around"),
+        pytest.param('{"n": 0, "edges": []}', True, id="empty"),
+        pytest.param('{"n": 5, "edges": []}', True, id="edgeless"),
+        pytest.param(_with({7: [7, 9, True]}), False, id="bool-entry"),
+        pytest.param(_with({7: [7, 9.0, 1]}), False, id="float-entry"),
+        pytest.param(_with({7: [7, "9", 1]}), False, id="string-entry"),
+        pytest.param(_with({7: [7, 2**63, 1]}), False, id="endpoint-2**63"),
+        pytest.param(_with({7: [7, 2**63, 1]}, n=2**63 + 1), False, id="endpoint-and-n-past-int64"),
+        pytest.param(_with({7: [7, 10**18 - 2, 1]}, n=10**18 - 1), True, id="18-digits"),
+        pytest.param(_with({7: [7, 10**18, 1]}, n=10**18 + 1), False, id="19-digits"),
+        pytest.param(_with({7: [7, 2**63 - 1, 1]}), True, id="endpoint-int64-max"),
+        pytest.param(_TEXT.replace("[0, 1, 1]", "[0,1, 1]"), False, id="edge-spacing"),
+        pytest.param(_TEXT.replace("[0, 1, 1]", "[0, 1, +1]"), False, id="plus-sign"),
+        pytest.param(_TEXT.replace("[0, 1, 1]", "[0, 1, 1.0]"), False, id="float-sign"),
+        pytest.param(_TEXT.replace("[0, 1, 1]", "[00, 1, 1]"), False, id="leading-zero-endpoint"),
+        pytest.param(_TEXT.replace('"n": 25', '"n": 025'), False, id="leading-zero-order"),
+        pytest.param(_TEXT.replace("[0, 1, 1]", "[0, 1, 01]"), False, id="leading-zero-sign"),
+        pytest.param("\x0b" + _TEXT, False, id="vertical-tab-before"),
+        pytest.param(_TEXT + "\x0b", False, id="vertical-tab-after"),
+        pytest.param("\u00a0" + _TEXT, False, id="no-break-space-before"),
+        pytest.param(_TEXT.replace("[3, 4,", "[3, \u0664,"), False, id="non-ascii-digit"),
+        pytest.param(json.dumps({"edges": _EDGES, "n": 25}), False, id="reordered-keys"),
+        pytest.param('{"n": 3, ' + _TEXT[1:], False, id="duplicate-order-key"),
+        pytest.param(_TEXT[:-1] + ', "edges": []}', False, id="duplicate-edges-key"),
+        pytest.param(_TEXT + "x", False, id="trailing-text"),
+        pytest.param(_TEXT + " {}", False, id="trailing-document"),
+        pytest.param(json.dumps({"n": 25, "edges": _EDGES}, separators=(",", ":")), False, id="compact-separators"),
+        pytest.param(_with({7: [5, 5, 1]}), True, id="loop"),
+        pytest.param(_with({7: [6, 5, 1]}), True, id="u-above-v"),
+        pytest.param(_with({7: [3, 25, 1]}), True, id="v-equal-n"),
+        pytest.param(_with({7: [3, 26, -1]}), True, id="v-above-n"),
+        pytest.param(_with({1: [0, 30, 1], 3: [2, 2, 1]}), True, id="first-bad-edge-named"),
+        pytest.param(_with({7: [3, 4, 0]}), False, id="sign-0"),
+        pytest.param(_with({7: [3, 4, 2]}), False, id="sign-2"),
+        pytest.param(_with({7: [3, 4, -2]}), False, id="sign-minus-2"),
+        pytest.param(_with({}, extra=[[4, 5, 1]]), True, id="duplicate-edge"),
+        pytest.param(_with({}, extra=[[4, 5, -1], [0, 1, -1]]), True, id="duplicate-pairs-opposite-signs"),
+        pytest.param('{"n": -1, "edges": []}', False, id="negative-order"),
+        pytest.param('{"n": 3}', False, id="no-edges-key"),
+        pytest.param(_with({}, n=10**30), False, id="order-past-int64"),
+    ],
+)
+def test_fast_reader_agrees_with_the_json_route(text, canonical, monkeypatch):
+    """Canonical text is read without :mod:`json`; every text gives the same
+    graph or the same error either way."""
+    parsed = []
+    monkeypatch.setattr(graph_module, "json", SimpleNamespace(loads=lambda t: parsed.append(t) or json.loads(t)))
+    fast, slow = _read_both_ways(text)
+    assert fast == slow
+    assert not parsed == canonical
+    if canonical and isinstance(fast, SignedGraph) and fast.m >= graph_module.ARRAY_MIN_EDGES:
+        assert fast.from_array
+
+
+def test_fast_reader_treats_a_partial_parse_warning_as_unparsed(monkeypatch):
+    """numpy releases before the deprecation expired warn and return the
+    entries before the unparsed text; loads must still take the json route,
+    even when warnings are errors."""
+    fromstring = np.fromstring
+
+    def warn_and_stop(text, **kw):
+        head, sep, _ = text.partition("1.5")
+        if sep:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return fromstring(head.rstrip(", "), **kw)
+
+    monkeypatch.setattr(graph_module.np, "fromstring", warn_and_stop)
+    text = _TEXT.replace("[0, 1, 1]", "[0, 1.5, 1]", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast, slow = _read_both_ways(text)
+        assert fast == slow and fast[0] == "ValueError"
+        assert loads(_TEXT) == loads(_TEXT.replace("[0, 1, 1]", "[0,1,1]", 1))
+
+
+@st.composite
+def _signed_graphs(draw):
+    n = draw(st.one_of(st.integers(0, 40), st.integers(0, 10**18), st.integers(10**18, 2**63)))
+    pairs = {}
+    for _ in range(draw(st.integers(0, 45)) if n >= 2 else 0):
+        u = draw(st.integers(0, n - 2))
+        pairs[u, draw(st.integers(u + 1, n - 1))] = draw(st.sampled_from((1, -1)))
+    return SignedGraph(n, tuple((u, v, s) for (u, v), s in pairs.items()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_signed_graphs())
+def test_loads_inverts_dumps(g):
+    text = dumps(g)
+    assert loads(text) == g
+    assert dumps(loads(text)) == text
+
+
+_ENTRIES = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from((10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63, 2**64)),
+    st.booleans(),
+    st.sampled_from((1.0, "1", None, [1])),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_signed_graphs(), st.data())
+def test_loads_agrees_with_the_json_route_near_canonical_text(g, data):
+    """A canonical document with one entry changed, whitespace around it,
+    or both: the fast reader and the json route agree."""
+    doc = {"n": g.n, "edges": [list(edge) for edge in g.edges]}
+    if doc["edges"] and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(doc["edges"]) - 1))
+        doc["edges"][i][data.draw(st.integers(0, 2))] = data.draw(_ENTRIES)
+    if data.draw(st.booleans()):
+        doc["edges"] = data.draw(st.permutations(doc["edges"]))
+    space = st.text(" \t\n\r\x0b\x0c", max_size=2)
+    text = data.draw(space) + json.dumps(doc) + data.draw(space)
+    fast, slow = _read_both_ways(text)
+    assert fast == slow

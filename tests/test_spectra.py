@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TEST_SEED, assert_multiset_close
+from conftest import TEST_SEED, assert_multiset_close, multiplicity_of
 
 from signet.families import complete, cycle, path, random_signed_graph, torus
 from signet.graphs import (
@@ -19,7 +19,7 @@ from signet.graphs import (
     negate,
 )
 from signet.linegraph import line_graph
-from signet.spectra import eigenvalues, multiplicity_of
+from signet.spectra import eigenvalues
 from signet.structured import dense_node
 
 

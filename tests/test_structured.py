@@ -12,7 +12,7 @@ from conftest import TEST_SEED
 
 from signet.cli import _report, main
 from signet.families import build_family, parse_family, path, random_signed_graph
-from signet.graphs import SignedGraph, balance_report, degrees, dumps
+from signet.graphs import SignedGraph, balance_report, degrees, dumps, loads
 from signet.linegraph import line_graph
 from signet.products import cartesian, cartesian_basis, neps
 from signet.structured import (
@@ -106,9 +106,16 @@ def test_product_tree_equals_dense_route_on_random_factor_sets():
     assert lined >= 150
 
 
+def _sparse_files():
+    """Edge-array graphs as loads reads them, with isolated vertices and
+    several components."""
+    rng = np.random.default_rng(TEST_SEED + 71)
+    return [loads(dumps(random_signed_graph(rng, n, 2.5 / n))) for n in (30, 45, 60) for _ in range(3)]
+
+
 def test_line_of_file_equals_dense_route_on_corpus(corpus):
     # Bases with several components, which the line rule used to refuse.
-    for i, g in enumerate(corpus):
+    for i, g in enumerate([*corpus, *_sparse_files()]):
         _assert_nodes_agree(line_node(dense_node(g)), line_node(dense_node(g)), line_graph(g).graph, f"graph {i}")
         assert dense_node(g).components == tuple(_component_data(g)), f"graph {i}"
 
