@@ -3,10 +3,9 @@
 The package is organised around a small immutable value type,
 :class:`signet.graphs.SignedGraph`.  Matrix views (adjacency, Laplacian, incidence), NEPS-style products,
 signed line graphs, closed-form spectra for the standard families and dense
-symmetric eigenvalues (LAPACK) are layered on top, with brute-force oracles,
-among them a pure-Python eigensolver, available for cross-checking.  Spectra
-and energies of a graph come from :mod:`signet.structured`; a built graph is
-answered by ``structured.dense_node``.
+symmetric eigenvalues (LAPACK) are layered on top, with an exact rational
+rank (:mod:`signet.oracle`) for the rank law.  Spectra and energies of a
+graph or a family come from :func:`signet.structured.spectral_node`.
 
 Each name is imported from the submodule that defines it, e.g.
 ``from signet.graphs import SignedGraph``; the package root exports only

@@ -29,7 +29,7 @@ from .families import parse_family
 from .graphs import adjacency, dumps, laplacian_from_adjacency, loads, to_json_dict
 from .products import Basis, cartesian_basis, p_sum_basis, strong_basis
 from .spectra import EigensolverError
-from .structured import SpectralNode, line_node, product_node, spectral_node
+from .structured import LineNode, ProductNode, SpectralNode, spectral_node
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -99,8 +99,8 @@ def _node(ns, line: bool) -> SpectralNode:
             with open(value, "r", encoding="utf-8") as fh:
                 nodes.append(spectral_node(loads(fh.read())))
     basis = _parse_basis(ns.basis, len(nodes))
-    node = nodes[0] if len(nodes) == 1 else product_node(basis, nodes)
-    return line_node(node) if line else node
+    node = nodes[0] if len(nodes) == 1 else ProductNode(basis, nodes)
+    return LineNode(node) if line else node
 
 
 def cmd_spectrum(ns) -> int:

@@ -25,7 +25,6 @@ __all__ = [
     "FamilySpec",
     "parse_family",
     "family_leaves",
-    "build_family",
 ]
 
 
@@ -170,11 +169,11 @@ def parse_family(text: str) -> FamilySpec:
     return FamilySpec(kind, params)
 
 
-# Leaf kind -> (constructor, parameter check, second key and its default).
+# Leaf kind -> (parameter check, second key and its default).
 _LEAVES = {
-    "path": (path, _path_params, "r", 0),
-    "cycle": (cycle, _cycle_params, "r", 0),
-    "complete": (complete, _complete_params, "sign", 1),
+    "path": (_path_params, "r", 0),
+    "cycle": (_cycle_params, "r", 0),
+    "complete": (_complete_params, "sign", 1),
 }
 # The Cartesian factors of the two-leaf families, as (first, second) leaf kinds.
 _PRODUCT_LEAVES = {"grid": ("path", "path"), "cylinder": ("cycle", "path"), "torus": ("cycle", "cycle")}
@@ -184,20 +183,16 @@ def family_leaves(spec: FamilySpec) -> tuple[tuple[str, int, int], ...]:
     """The validated leaves ``(kind, n, r or sign)`` whose Cartesian product
     is the family's graph; one leaf for path, cycle and complete, two for
     grid, cylinder and torus.  Raises ValueError with the same messages as
-    the constructors."""
+    the constructors.  :func:`signet.structured.spectral_node` makes them a
+    node, whose ``graph`` builds the family with these constructors."""
     p = spec.params
     try:
         if spec.kind in _PRODUCT_LEAVES:
             first, second = _PRODUCT_LEAVES[spec.kind]
             raw = [(first, p["m"], p.get("r1", 0)), (second, p["n"], p.get("r2", 0))]
         else:
-            key, default = _LEAVES[spec.kind][2:]
+            key, default = _LEAVES[spec.kind][1:]
             raw = [(spec.kind, p["n"], p.get(key, default))]
     except KeyError as missing:
         raise ValueError(f"family {spec.kind!r} is missing key {missing}") from None
-    return tuple((kind, *_LEAVES[kind][1](n, x)) for kind, n, x in raw)
-
-
-def build_family(spec: FamilySpec) -> SignedGraph:
-    factors = [_LEAVES[kind][0](n, x) for kind, n, x in family_leaves(spec)]
-    return factors[0] if len(factors) == 1 else cartesian(factors)
+    return tuple((kind, *_LEAVES[kind][0](n, x)) for kind, n, x in raw)

@@ -63,10 +63,6 @@ class lazy_field:
 
 
 _INT64_MAX = np.iinfo(np.int64).max
-# An int64 edge array with fewer rows is checked edge by edge and kept as
-# triples: below this size the fixed cost of a dozen numpy calls exceeds
-# the per-edge loop's.
-ARRAY_MIN_EDGES = 32
 
 
 @dataclass(frozen=True, init=False)
@@ -77,17 +73,17 @@ class SignedGraph:
     sorted lexicographically, so equal graphs compare equal and every
     derived matrix is reproducible.  They are given either as triples or as
     one int64 array of shape (m, 3), the form :func:`signet.products.neps`
-    builds and :func:`loads` reads.  The graph keeps the form it was given
-    and derives the other on first use: ``edges`` as a tuple of int triples,
-    ``edge_array`` as a read-only int64 array.  An array shorter than
-    ``ARRAY_MIN_EDGES`` rows is kept as triples; ``from_array`` tells which
-    form was kept.
+    builds and :func:`loads` reads.  The graph keeps the form it was given,
+    whatever its length, and derives the other on first use: ``edges`` as a
+    tuple of int triples, ``edge_array`` as a read-only int64 array, which
+    refuses an endpoint past the int64 range with ValueError.
+    ``from_array`` tells which form was given.
     """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]  # a lazy_field below
     m: int = field(init=False, repr=False, compare=False)
-    from_array: bool = field(init=False, repr=False, compare=False)  # kept as the array it was given
+    from_array: bool = field(init=False, repr=False, compare=False)  # given as an edge array
 
     def __init__(self, n, edges=()):
         object.__setattr__(self, "n", n)
@@ -104,14 +100,12 @@ class SignedGraph:
         object.__setattr__(self, "n", n)
         given = self.edges
         if isinstance(given, np.ndarray) and given.dtype == np.int64 and given.ndim == 2 and given.shape[1] == 3:
-            if len(given) >= ARRAY_MIN_EDGES:
-                array = _canonical_array(n, given)
-                object.__delattr__(self, "edges")  # derived from the array when asked for
-                object.__setattr__(self, "edge_array", array)
-                object.__setattr__(self, "m", len(array))
-                object.__setattr__(self, "from_array", True)
-                return
-            given = zip(*given.T.tolist())
+            array = _canonical_array(n, given)
+            object.__delattr__(self, "edges")  # derived from the array when asked for
+            object.__setattr__(self, "edge_array", array)
+            object.__setattr__(self, "m", len(array))
+            object.__setattr__(self, "from_array", True)
+            return
         edges = _canonical_tuples(n, given)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "m", len(edges))
@@ -124,7 +118,10 @@ class SignedGraph:
 
     @lazy_field
     def edge_array(self) -> np.ndarray:
-        a = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+        try:
+            a = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+        except OverflowError:
+            raise ValueError(f"a graph of order {self.n} has an endpoint past the int64 range of edge arrays") from None
         a.flags.writeable = False
         return a
 

@@ -12,11 +12,12 @@ referee :func:`neps` is checked against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,37 +97,18 @@ def p_sum_basis(nu: int, p: int) -> Basis:
 # ---------------------------------------------------------------------------
 
 
-def kron_sum_over_basis(mats: Sequence, patterns: Basis | Iterable[Sequence[int]]) -> np.ndarray:
-    """Sum over patterns of Kronecker products of matrix powers (M**0 = I).
-
-    Patterns are usually the 0/1 vectors of a :class:`Basis`, but arbitrary
-    nonnegative integer exponent vectors are accepted, which lets the same
-    routine check the general power identity for Kronecker chains.
-    """
+def kron_sum_over_basis(mats: Sequence, basis: Basis) -> np.ndarray:
+    """Sum over the patterns of ``basis`` of the Kronecker product of the
+    matrices, each replaced by the identity where the pattern has a 0."""
     arrays = [np.asarray(m) for m in mats]
-    if not arrays:
-        raise ValueError("need at least one matrix")
-    for a in arrays:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("all matrices must be square")
-    vecs = patterns.vectors if isinstance(patterns, Basis) else [tuple(p) for p in patterns]
-    total = None
-    for vec in vecs:
-        if len(vec) != len(arrays):
-            raise ValueError(
-                f"pattern arity {len(vec)} does not match {len(arrays)} matrices"
-            )
-        term = None
-        for a, k in zip(arrays, vec):
-            k = operator.index(k)
-            if k < 0:
-                raise ValueError("exponents must be nonnegative")
-            factor = np.eye(a.shape[0], dtype=a.dtype) if k == 0 else np.linalg.matrix_power(a, k)
-            term = factor if term is None else np.kron(term, factor)
-        total = term if total is None else total + term
-    if total is None:
-        raise ValueError("need at least one pattern")
-    return total
+    if len(arrays) != basis.nu:
+        raise ValueError(f"basis arity {basis.nu} does not match {len(arrays)} matrices")
+    if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in arrays):
+        raise ValueError("all matrices must be square")
+    return sum(
+        functools.reduce(np.kron, [a if bit else np.eye(len(a), dtype=a.dtype) for a, bit in zip(arrays, vec)])
+        for vec in basis.vectors
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 A spectrum is a sorted float64 array.  Eigenvalues come from LAPACK through
 :func:`numpy.linalg.eigvalsh`; a LAPACK failure is raised as
-:class:`EigensolverError`.  The pure-Python Householder + QL solver in
-:mod:`signet.oracle` is the independent referee the tests pit against it.
+:class:`EigensolverError`.  The tests pit it against an independent
+pure-Python Householder + QL solver, which is not part of the package.
 Energies are computed from a spectrum, so a caller that already holds one
 does not solve again.  Built graphs reach this module through
-:func:`signet.structured.dense_node`.
+:class:`signet.structured.DenseNode`.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ on first use, bottom-up, by the cheapest exact rule:
   built line graph.
 - **dense leaf**: LAPACK on a built graph, and the balance sweep of
   :func:`signet.graphs.balance_report`.  Only dense leaves solve, and
-  :func:`dense_node` is the one route from a built graph to its spectra and
+  :class:`DenseNode` is the one route from a built graph to its spectra and
   energies.
 
 A Laplacian that no rule above gives is k - lambda over a k-regular graph
@@ -46,12 +46,11 @@ from . import families, formulas, graphs, linegraph, products, spectra
 
 __all__ = [
     "SpectralNode",
-    "leaf_node",
-    "dense_node",
-    "product_node",
+    "LeafNode",
+    "DenseNode",
+    "ProductNode",
+    "LineNode",
     "line_balance",
-    "line_node",
-    "family_node",
     "spectral_node",
 ]
 
@@ -102,7 +101,7 @@ class SpectralNode:
     @graphs.lazy_field
     def _built(self) -> SpectralNode:
         """The dense leaf of the built graph, for the fields no rule gives."""
-        return dense_node(self.graph)
+        return DenseNode(self.graph)
 
     def _own_laplacian(self) -> np.ndarray | None:
         """The node's own Laplacian rule, tried before the regular law; None where it has none."""
@@ -126,7 +125,9 @@ class SpectralNode:
         return spectra.laplacian_energy_from_spectrum(self.laplacian.tolist(), self.m)
 
 
-class _Leaf(SpectralNode):
+class LeafNode(SpectralNode):
+    """Closed-form node of path(n, r=x), cycle(n, r=x) or complete(n, sign=x)."""
+
     def __init__(self, kind: str, n: int, x: int):
         self.kind, self.n, self.x = kind, n, x
         if kind == "path":
@@ -159,7 +160,10 @@ class _Leaf(SpectralNode):
         return getattr(families, self.kind)(self.n, self.x)  # families.path, .cycle, .complete
 
 
-class _Dense(SpectralNode):
+class DenseNode(SpectralNode):
+    """Node of a built graph: one adjacency matrix, L = diag(|A| 1) - A,
+    LAPACK on each when asked for, and the graph's balance sweep."""
+
     def __init__(self, g: graphs.SignedGraph):
         self.graph, self.n, self.m = g, g.n, g.m
 
@@ -205,7 +209,9 @@ class _Dense(SpectralNode):
         )
 
 
-class _Product(SpectralNode):
+class ProductNode(SpectralNode):
+    """Node of the NEPS of the factors' graphs under ``basis``."""
+
     def __init__(self, basis: products.Basis, factors: Sequence[SpectralNode]):
         if basis.nu != len(factors):
             raise ValueError(f"basis arity {basis.nu} does not match {len(factors)} factors")
@@ -289,15 +295,17 @@ def _without_isolated(g: graphs.SignedGraph) -> graphs.SignedGraph:
     return graphs.SignedGraph(len(index), tuple((index[u], index[v], s) for u, v, s in g.edges))
 
 
-class _Line(SpectralNode):
+class LineNode(SpectralNode):
+    """Node of the line graph of a graph, from the graph's node."""
+
     def __init__(self, base: SpectralNode):
-        if isinstance(base, _Dense):
+        if isinstance(base, DenseNode):
             # An isolated vertex adds only a zero Laplacian eigenvalue and a
             # balanced component: m - n + b, the positive mu, the components
             # with an edge and the line graph itself stay the same without it.
             g = _without_isolated(base.graph)
             if g is not base.graph:
-                base = _Dense(g)
+                base = DenseNode(g)
         self.base = base
 
     @graphs.lazy_field
@@ -312,7 +320,7 @@ class _Line(SpectralNode):
     @graphs.lazy_field
     def _source(self) -> SpectralNode:
         """The node holding the Laplacian, size and degrees over a non-regular base."""
-        return leaf_node("path", self.base.m, 0) if self.laplacian_rule == "path" else self._built
+        return LeafNode("path", self.base.m, 0) if self.laplacian_rule == "path" else self._built
 
     @graphs.lazy_field
     def n(self) -> int:
@@ -351,37 +359,15 @@ class _Line(SpectralNode):
         return linegraph.line_graph(self.base.graph).graph
 
 
-def leaf_node(kind: str, n: int, x: int) -> SpectralNode:
-    """Closed-form node of path(n, r=x), cycle(n, r=x) or complete(n, sign=x)."""
-    return _Leaf(kind, n, x)
-
-
-def dense_node(g: graphs.SignedGraph) -> SpectralNode:
-    """Node of a built graph: one adjacency matrix, L = diag(|A| 1) - A,
-    LAPACK on each when asked for, and the graph's balance sweep."""
-    return _Dense(g)
-
-
-def product_node(basis: products.Basis, factors: Sequence[SpectralNode]) -> SpectralNode:
-    """Node of the NEPS of the factors' graphs under ``basis``."""
-    return _Product(basis, factors)
-
-
-def line_node(base: SpectralNode) -> SpectralNode:
-    """Node of the line graph of a graph from the graph's node."""
-    return _Line(base)
-
-
 _FAMILY_BASIS = products.cartesian_basis(2)  # grids, cylinders and tori
 
 
-def family_node(spec: families.FamilySpec) -> SpectralNode:
-    """Node of a family graph from its leaves, with no graph built."""
-    leaves = [leaf_node(*leaf) for leaf in families.family_leaves(spec)]
-    return leaves[0] if len(leaves) == 1 else product_node(_FAMILY_BASIS, leaves)
-
-
 def spectral_node(source: graphs.SignedGraph | families.FamilySpec, line: bool = False) -> SpectralNode:
-    """Node of a built graph or a family, or of its line graph."""
-    node = dense_node(source) if isinstance(source, graphs.SignedGraph) else family_node(source)
-    return line_node(node) if line else node
+    """Node of a built graph (its dense leaf) or of a family (its closed-form
+    leaves, with no graph built), or of its line graph."""
+    if isinstance(source, graphs.SignedGraph):
+        node = DenseNode(source)
+    else:
+        leaves = [LeafNode(*leaf) for leaf in families.family_leaves(source)]
+        node = leaves[0] if len(leaves) == 1 else ProductNode(_FAMILY_BASIS, leaves)
+    return LineNode(node) if line else node

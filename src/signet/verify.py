@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formulas
-from .families import build_family, cycle, parse_family, random_signed_graph
+from .families import cycle, parse_family, random_signed_graph
 from .graphs import (
     SignedGraph,
     adjacency,
@@ -27,9 +27,9 @@ from .linegraph import line_graph
 from .oracle import rank_exact
 from .products import Basis, cartesian, kron_sum_over_basis, neps, strong_basis
 from .spectra import eigenvalues, energy_from_spectrum, laplacian_energy_from_spectrum
-from .structured import family_node, line_node
+from .structured import LineNode, spectral_node
 
-__all__ = ["SuiteResult", "SUITES", "run_suite"]
+__all__ = ["SuiteResult", "SUITES", "run_suite", "multiset_gap"]
 
 DEFAULT_SEED = 0x9E3779B97F4A7C15
 
@@ -87,12 +87,14 @@ class _Solves:
         return laplacian_energy_from_spectrum(self.laplacian(g), g.m)
 
 
-def _multiset_close(a, b, tol: float = 1e-8) -> bool:
-    a = sorted(float(x) for x in a)
-    b = sorted(float(x) for x in b)
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
+def multiset_gap(a, b) -> float:
+    """The largest gap between two real multisets matched in sorted order:
+    inf when their sizes differ, NaN when a value is NaN, 0 when both are
+    empty.  Every comparison of two spectra is ``multiset_gap(a, b) <= tol``."""
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    if a.shape != b.shape:
+        return math.inf
+    return float(np.abs(a - b).max(initial=0.0))
 
 
 def kirchhoff_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -129,7 +131,7 @@ def acharya_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     solve = _Solves()
     for i in range(200):
         g = _random_graph(rng, max_n)
-        same = _multiset_close(solve.adjacency(g), solve.adjacency(underlying(g)))
+        same = multiset_gap(solve.adjacency(g), solve.adjacency(underlying(g))) <= 1e-8
         balanced = balance_report(g).balanced
         result.record(
             same == balanced,
@@ -255,18 +257,18 @@ def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteResult:
     solve = _Solves()
 
     def check(label, node_values, solved):
-        result.record(_multiset_close(node_values, solved), f"{label}: node != solver")
+        result.record(multiset_gap(node_values, solved) <= 1e-8, f"{label}: node != solver")
 
     for text, plain, line, line_laplacian in _closed_form_cases(max_n):
         spec = parse_family(text)
-        node = family_node(spec)
-        g = build_family(spec)
+        node = spectral_node(spec)
+        g = node.graph
         if plain:
             check(f"{text} adjacency", node.adjacency, solve.adjacency(g))
             check(f"{text} laplacian", node.laplacian, solve.laplacian(g))
         if line:
             lg = line_graph(g).graph
-            lined = line_node(node)
+            lined = LineNode(node)
             try:
                 check(f"line({text}) adjacency", lined.adjacency, solve.adjacency(lg))
                 # A line Laplacian from the dense leaf would be compared with itself.
@@ -294,7 +296,7 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
         got = solve.adjacency(lg)
         try:
             expected = formulas.line_spectrum_general(solve.laplacian(g), g.m, g.n, rep.b)
-            matched = _multiset_close(expected, got)
+            matched = multiset_gap(expected, got) <= 1e-8
             problem = "" if matched else "line spectrum does not match the Laplacian construction"
         except ValueError as exc:
             problem = f"the line rule refuses the graph: {exc}"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from signet.families import random_signed_graph
+from signet.verify import multiset_gap
 
 # Fixed 64-bit seed for every randomised sweep; override with SIGNET_SEED.
 TEST_SEED = int(os.environ.get("SIGNET_SEED", str(0x9E3779B97F4A7C15)))
@@ -33,16 +34,13 @@ def corpus():
 
 
 def assert_multiset_close(actual, expected, tol: float = 1e-8):
-    """Sorted elementwise comparison of two real multisets."""
-    a = sorted(float(x) for x in actual)
-    b = sorted(float(x) for x in expected)
-    assert len(a) == len(b), f"multiset sizes differ: {len(a)} != {len(b)}"
-    if a:
-        worst = max(abs(x - y) for x, y in zip(a, b))
-        assert worst <= tol, (
-            f"multisets differ, worst gap {worst:.3e} > {tol:.1e}\n"
-            f"  got:      {a}\n  expected: {b}"
-        )
+    """``verify.multiset_gap(actual, expected) <= tol``, with both sorted
+    multisets in the failure message."""
+    worst = multiset_gap(actual, expected)
+    assert worst <= tol, (
+        f"multisets differ, worst gap {worst:.3e} > {tol:.1e}\n"
+        f"  got:      {sorted(actual)}\n  expected: {sorted(expected)}"
+    )
 
 
 def multiplicity_of(values, x: float, tol: float) -> int:

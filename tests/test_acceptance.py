@@ -19,7 +19,6 @@ import numpy as np
 from conftest import TEST_SEED, multiplicity_of
 
 from signet.families import (
-    build_family,
     complete,
     cycle,
     parse_family,
@@ -37,7 +36,8 @@ from signet.graphs import (
 from signet.linegraph import line_graph
 from signet.oracle import rank_exact
 from signet.products import Basis, cartesian, kron_sum_over_basis, neps, strong_basis
-from signet.structured import dense_node, spectral_node
+from signet.structured import spectral_node
+from signet.verify import multiset_gap
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -46,12 +46,6 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> bool:
         line += f" [{detail}]"
     print(line)
     return ok
-
-
-def _close(a, b, tol):
-    a = sorted(float(x) for x in a)
-    b = sorted(float(x) for x in b)
-    return len(a) == len(b) and all(abs(x - y) <= tol for x, y in zip(a, b))
 
 
 # --- 1 -----------------------------------------------------------------------
@@ -90,11 +84,7 @@ def test_criterion_02_rank_law(corpus):
 def test_criterion_03_balance_iff_cospectral(corpus):
     bad = 0
     for g in corpus:
-        cospectral = _close(
-            dense_node(g).adjacency,
-            dense_node(underlying(g)).adjacency,
-            1e-8,
-        )
+        cospectral = multiset_gap(spectral_node(g).adjacency, spectral_node(underlying(g)).adjacency) <= 1e-8
         if cospectral != balance_report(g).balanced:
             bad += 1
     assert _verdict(
@@ -150,23 +140,23 @@ def test_criterion_05_closed_form_sweep():
     tol = 1e-8
 
     def check(label, node_vals, spectrum_vals):
-        if not _close(node_vals, spectrum_vals, tol):
+        if not multiset_gap(node_vals, spectrum_vals) <= tol:
             failures.append(label)
 
     def sweep(text, plain=True, line=False, line_laplacian=False):
         # The structured nodes `spectrum --family` answers with, against
         # the dense solve of the built graph and of its line graph.
         spec = parse_family(text)
-        g = build_family(spec)
+        g = spectral_node(spec).graph
         if plain:
             node = spectral_node(spec)
-            check(text, node.adjacency, dense_node(g).adjacency)
-            check(f"{text} laplacian", node.laplacian, dense_node(g).laplacian)
+            check(text, node.adjacency, spectral_node(g).adjacency)
+            check(f"{text} laplacian", node.laplacian, spectral_node(g).laplacian)
         if line:
             node, lg = spectral_node(spec, line=True), line_graph(g).graph
-            check(f"line({text})", node.adjacency, dense_node(lg).adjacency)
+            check(f"line({text})", node.adjacency, spectral_node(lg).adjacency)
             if line_laplacian:
-                check(f"line({text}) laplacian", node.laplacian, dense_node(lg).laplacian)
+                check(f"line({text}) laplacian", node.laplacian, spectral_node(lg).laplacian)
 
     for n in range(1, 9):
         for r in range(n):
@@ -209,16 +199,16 @@ def test_criterion_06_quoted_complete_line_energies():
     failures = []
     for n in range(3, 9):
         plus = line_graph(complete(n, 1)).graph
-        e_plus = dense_node(plus).energy
+        e_plus = spectral_node(plus).energy
         quoted_plus = float((n - 1) * (2 * n - 5))
         if abs(e_plus - quoted_plus) > 1e-7:
             failures.append(f"+K_{n}: quoted {quoted_plus:g}, solver {e_plus:.10g}")
         minus = line_graph(complete(n, -1)).graph
-        e_minus = dense_node(minus).energy
+        e_minus = spectral_node(minus).energy
         quoted_minus = float((n - 1) * (2 * n - 5) + 2 * (n - 3))
         if abs(e_minus - quoted_minus) > 1e-7:
             failures.append(f"-K_{n}: quoted {quoted_minus:g}, solver {e_minus:.10g}")
-        mult = multiplicity_of(dense_node(plus).adjacency, 2.0, 1e-6)
+        mult = multiplicity_of(spectral_node(plus).adjacency, 2.0, 1e-6)
         if mult != (n - 1) * (n - 2) // 2:
             failures.append(f"+K_{n}: multiplicity of 2 is {mult}")
     ok = not failures
@@ -262,11 +252,11 @@ def test_criterion_07_energy_bounds():
         cases += 1
         basis = Basis(nu, chosen)
         g = neps(factors, basis)
-        rates = [dense_node(f).energy / f.n for f in factors]
+        rates = [spectral_node(f).energy / f.n for f in factors]
         rhs = sum(
             math.prod(r for r, bit in zip(rates, vec) if bit) for vec in basis.vectors
         )
-        lhs = dense_node(g).energy / g.n
+        lhs = spectral_node(g).energy / g.n
         if lhs > rhs + 1e-9:
             failures.append(f"case {cases}: bound violated")
         if basis == strong_basis(nu) and abs(lhs - rhs) > 1e-8:
@@ -274,8 +264,8 @@ def test_criterion_07_energy_bounds():
         if len(basis.vectors) > 1 and rhs - lhs <= 1e-9:
             failures.append(f"case {cases}: strictness violated ({lhs} vs {rhs})")
         cart = cartesian(factors)
-        l_lhs = dense_node(cart).laplacian_energy / cart.n
-        l_rhs = sum(dense_node(f).laplacian_energy / f.n for f in factors)
+        l_lhs = spectral_node(cart).laplacian_energy / cart.n
+        l_rhs = sum(spectral_node(f).laplacian_energy / f.n for f in factors)
         if l_lhs > l_rhs + 1e-9:
             failures.append(f"case {cases}: sum-product Laplacian bound violated")
         if l_rhs - l_lhs <= 1e-9:
@@ -325,13 +315,13 @@ def test_criterion_09_regular_energy_ladder():
     for g in instances:
         degs = degrees(g)
         k = int(degs[0]) if g.n else 0
-        e = dense_node(g).energy
-        el = dense_node(g).laplacian_energy
+        e = spectral_node(g).energy
+        el = spectral_node(g).laplacian_energy
         if abs(e - el) > 1e-7:
             failures.append(f"n={g.n} m={g.m}: E={e:.9g} E_L={el:.9g}")
-        lap_sorted = sorted(dense_node(g).laplacian)
-        ladder = sorted(k - v for v in dense_node(g).adjacency)
-        if not _close(lap_sorted, ladder, 1e-8):
+        lap_sorted = sorted(spectral_node(g).laplacian)
+        ladder = sorted(k - v for v in spectral_node(g).adjacency)
+        if not multiset_gap(lap_sorted, ladder) <= 1e-8:
             failures.append(f"n={g.n} m={g.m}: Laplacian is not k - adjacency")
     assert _verdict(
         9,
@@ -348,10 +338,10 @@ def test_criterion_10_line_graph_spectrum_law(corpus):
     bad = 0
     for g in corpus:
         rep = balance_report(g)
-        lap = sorted(dense_node(g).laplacian)
+        lap = sorted(spectral_node(g).laplacian)
         expected = [2.0 - v for v in lap[rep.b :]] + [2.0] * (g.m - g.n + rep.b)
-        got = dense_node(line_graph(g).graph).adjacency
-        if not _close(got, expected, 1e-7):
+        got = spectral_node(line_graph(g).graph).adjacency
+        if not multiset_gap(got, expected) <= 1e-7:
             bad += 1
     assert _verdict(
         10,

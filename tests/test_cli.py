@@ -16,11 +16,11 @@ from conftest import TEST_SEED, assert_multiset_close
 import signet
 from signet import formulas
 from signet.cli import _report, main
-from signet.families import build_family, complete, cycle, grid, parse_family, path, random_signed_graph
-from signet.graphs import ARRAY_MIN_EDGES, adjacency, degree_matrix, dumps, laplacian, loads, to_json_dict
+from signet.families import complete, cycle, grid, parse_family, path, random_signed_graph
+from signet.graphs import adjacency, degree_matrix, dumps, laplacian, loads, to_json_dict
 from signet.linegraph import line_graph
 from signet.products import Basis, cartesian_basis, neps, p_sum_basis, strong_basis
-from signet.structured import dense_node
+from signet.structured import spectral_node
 
 
 def run(capsys, *argv):
@@ -104,11 +104,11 @@ def test_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
 
 
 def test_spectrum_of_a_file_never_makes_edge_triples(tmp_path, monkeypatch, capsys):
-    """From the file text to the balance verdict, a graph of at least
-    ARRAY_MIN_EDGES edges stays one edge array, and the report is the one
-    the same graph kept as triples gives."""
+    """From the file text to the balance verdict, a graph read from a file
+    stays one edge array, and the report is the one the same graph kept as
+    triples gives."""
     g = random_signed_graph(np.random.default_rng(TEST_SEED + 90), 40, 0.3)
-    assert g.m >= ARRAY_MIN_EDGES and not g.from_array
+    assert not g.from_array
     doc = tmp_path / "g.json"
     doc.write_text(json.dumps(to_json_dict(g)))
     read = []
@@ -117,7 +117,7 @@ def test_spectrum_of_a_file_never_makes_edge_triples(tmp_path, monkeypatch, caps
     code_csv, out_csv, _ = run(capsys, "spectrum", "--file", str(doc), "--csv")
     assert len(read) == 2 and all(h.from_array and "edges" not in vars(h) for h in read)
     assert (code, code_csv) == (0, 0)
-    want = dense_node(g)
+    want = spectral_node(g)
     assert out == json.dumps(_report(want)) + "\n"
     assert out_csv == "\n".join("%.12g" % v for v in want.adjacency) + "\n"
 
@@ -157,13 +157,11 @@ def test_reader_closing_the_pipe_early_exits_zero_quietly():
 
 
 def test_csv_output(capsys):
-    from signet.structured import dense_node
-
     code, out, _ = run(capsys, "spectrum", "--family", "cycle:n=5", "--csv")
     assert code == 0
     lines = out.strip().splitlines()
     # one eigenvalue per line, printed to 12 significant digits
-    assert lines == ["%.12g" % v for v in dense_node(cycle(5, 0)).adjacency]
+    assert lines == ["%.12g" % v for v in spectral_node(cycle(5, 0)).adjacency]
     golden = [2.0 * math.cos(2.0 * j * math.pi / 5) for j in range(1, 6)]
     assert_multiset_close([float(x) for x in lines], golden, tol=1e-8)
 
@@ -261,7 +259,7 @@ FILE = "--file"  # a factor read from a JSON document
 
 
 def _inputs(factors, tmp_path):
-    """The argv and the graphs built by `build_family` (or read) of ``factors``."""
+    """The argv and the graphs of ``factors``, built from their family nodes or read."""
     doc = tmp_path / "factor.json"
     doc.write_text(dumps(random_signed_graph(np.random.default_rng(TEST_SEED + 72), 4, 0.7)))
     argv, graphs = [], []
@@ -271,7 +269,7 @@ def _inputs(factors, tmp_path):
             graphs.append(loads(doc.read_text()))
         else:
             argv += ["--family", factor]
-            graphs.append(build_family(parse_family(factor)))
+            graphs.append(spectral_node(parse_family(factor)).graph)
     return argv, graphs
 
 
@@ -406,6 +404,17 @@ def test_product_refuses_a_bad_basis_before_building_any_factor():
     command, env = _signet_command(*argv, prelude=ADDRESS_CAP)
     proc = subprocess.run(command, capture_output=True, env=dict(env, OPENBLAS_NUM_THREADS="1"), timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"signet: pattern (1, 1, 1) has length 3, expected 2\n")
+
+
+@pytest.mark.parametrize("basis", ["cartesian", "strong"])
+def test_product_with_an_endpoint_past_int64_exits_two(tmp_path, capsys, basis):
+    """A factor whose endpoints do not fit an edge array is bad input, not a traceback."""
+    big, empty = tmp_path / "big.json", tmp_path / "empty.json"
+    big.write_text('{"n": 9223372036854775809, "edges": [[0, 9223372036854775808, 1]]}')
+    empty.write_text('{"n": 0, "edges": []}')
+    code, out, err = run(capsys, "product", "--file", str(big), "--file", str(empty), "--basis", basis)
+    assert (code, out) == (2, "")
+    assert err == "signet: a graph of order 9223372036854775809 has an endpoint past the int64 range of edge arrays\n"
 
 
 def test_verify_command_runs_suites(capsys):

@@ -9,7 +9,6 @@ from conftest import assert_multiset_close
 
 from signet.families import (
     FamilySpec,
-    build_family,
     complete,
     cycle,
     cylinder,
@@ -20,7 +19,7 @@ from signet.families import (
     torus,
 )
 from signet.graphs import SignedGraph, balance_report
-from signet.structured import dense_node
+from signet.structured import spectral_node
 
 
 def test_path_examples():
@@ -44,9 +43,9 @@ def test_cycle_examples():
 
 
 def test_path_spectrum_is_signature_independent():
-    base = dense_node(path(5, 0)).adjacency
+    base = spectral_node(path(5, 0)).adjacency
     for r in range(1, 5):
-        assert_multiset_close(dense_node(path(5, r)).adjacency, base, tol=1e-8)
+        assert_multiset_close(spectral_node(path(5, r)).adjacency, base, tol=1e-8)
 
 
 def test_grid_is_positive_square():
@@ -59,7 +58,7 @@ def test_grid_is_positive_square():
         degs[v] += 1
     assert degs == [2, 2, 2, 2]
     assert_multiset_close(
-        dense_node(g).adjacency, [-2.0, 0.0, 0.0, 2.0], tol=1e-8
+        spectral_node(g).adjacency, [-2.0, 0.0, 0.0, 2.0], tol=1e-8
     )
 
 
@@ -113,9 +112,10 @@ def test_parse_family_strings():
     assert parse_family("complete:n=4,sign=-") == FamilySpec(
         "complete", {"n": 4, "sign": -1}
     )
-    assert build_family(parse_family("torus:m=4,r1=1,n=5,r2=0")) == torus(4, 1, 5, 0)
-    assert build_family(parse_family("cycle:n=6")) == cycle(6, 0)
-    assert build_family(parse_family("complete:n=3,sign=+1")) == complete(3, 1)
+    assert spectral_node(parse_family("torus:m=4,r1=1,n=5,r2=0")).graph == torus(4, 1, 5, 0)
+    assert spectral_node(parse_family("cycle:n=6")).graph == cycle(6, 0)
+    assert spectral_node(parse_family("complete:n=3,sign=+1")).graph == complete(3, 1)
+    assert spectral_node(parse_family("cylinder:m=3,r1=1,n=4,r2=2")).graph == cylinder(3, 1, 4, 2)
 
 
 def test_parse_family_rejects_bad_strings():
@@ -130,10 +130,10 @@ def test_parse_family_rejects_bad_strings():
         "grid:m=2,n=2,r1=0,r2=0,extra=1",
     ):
         with pytest.raises(ValueError):
-            build_family(parse_family(text))
+            spectral_node(parse_family(text)).graph
 
 
 def test_family_defaults():
-    assert build_family(parse_family("path:n=4")) == path(4, 0)
-    assert build_family(parse_family("grid:m=2,n=3")) == grid(2, 0, 3, 0)
-    assert build_family(parse_family("complete:n=5")) == complete(5, 1)
+    assert spectral_node(parse_family("path:n=4")).graph == path(4, 0)
+    assert spectral_node(parse_family("grid:m=2,n=3")).graph == grid(2, 0, 3, 0)
+    assert spectral_node(parse_family("complete:n=5")).graph == complete(5, 1)

@@ -11,7 +11,6 @@ from conftest import TEST_SEED, assert_multiset_close
 from signet import formulas
 from signet.families import (
     FamilySpec,
-    build_family,
     complete,
     cycle,
     cylinder,
@@ -24,7 +23,7 @@ from signet.families import (
 from signet.graphs import SignedGraph, balance_report, negate
 from signet.linegraph import line_graph
 from signet.spectra import energy_from_spectrum
-from signet.structured import dense_node, leaf_node, spectral_node
+from signet.structured import LeafNode, spectral_node
 
 
 def test_parity_bracket():
@@ -47,8 +46,8 @@ def test_path_formulas_match_solver_all_signatures():
         expected_lap = formulas.path_laplacian_spectrum(n)
         for r in range(n):
             g = path(n, r)
-            assert_multiset_close(dense_node(g).adjacency, expected)
-            assert_multiset_close(dense_node(g).laplacian, expected_lap)
+            assert_multiset_close(spectral_node(g).adjacency, expected)
+            assert_multiset_close(spectral_node(g).laplacian, expected_lap)
 
 
 def test_cycle_spectrum_small_values():
@@ -67,12 +66,12 @@ def test_cycle_spectrum_depends_only_on_parity():
 def test_cycle_laplacian_zero_iff_even_signature():
     for n in (3, 4, 7):
         for r in range(n + 1):
-            lap = leaf_node("cycle", n, r).laplacian
+            lap = LeafNode("cycle", n, r).laplacian
             has_zero = any(abs(v) <= 1e-9 for v in lap)
             assert has_zero == (r % 2 == 0)
             g = cycle(n, r)
-            assert_multiset_close(dense_node(g).laplacian, lap)
-            assert_multiset_close(dense_node(g).adjacency, formulas.cycle_spectrum(n, r))
+            assert_multiset_close(spectral_node(g).laplacian, lap)
+            assert_multiset_close(spectral_node(g).adjacency, formulas.cycle_spectrum(n, r))
 
 
 def test_regular_leaf_laplacians_are_the_papers_displays():
@@ -83,12 +82,12 @@ def test_regular_leaf_laplacians_are_the_papers_displays():
         j = np.arange(1, n + 1)
         for r in range(4):
             want = np.sort(2.0 * (1.0 - np.cos((2 * j - r % 2) * np.pi / n)))
-            assert np.array_equal(leaf_node("cycle", n, r).laplacian, want), (n, r)
+            assert np.array_equal(LeafNode("cycle", n, r).laplacian, want), (n, r)
     for n in range(1, 40):
         plus = np.sort(np.r_[0.0, np.full(n - 1, float(n))])  # {0, n^(n-1)}
         minus = np.sort(np.r_[2.0 * n - 2, np.full(n - 1, n - 2.0)])  # {2n-2, (n-2)^(n-1)}
-        assert np.array_equal(leaf_node("complete", n, 1).laplacian, plus), n
-        assert np.array_equal(leaf_node("complete", n, -1).laplacian, minus), n
+        assert np.array_equal(LeafNode("complete", n, 1).laplacian, plus), n
+        assert np.array_equal(LeafNode("complete", n, -1).laplacian, minus), n
 
 
 # --- two-dimensional grids (structured nodes) --------------------------------
@@ -108,10 +107,10 @@ def test_grid_formula_values_and_energies():
         for r1 in range(m):
             for r2 in range(n):
                 g = grid(m, r1, n, r2)
-                assert_multiset_close(dense_node(g).adjacency, node.adjacency)
-                assert_multiset_close(dense_node(g).laplacian, node.laplacian)
-                assert dense_node(g).energy == pytest.approx(node.energy, abs=1e-7)
-                assert dense_node(g).laplacian_energy == pytest.approx(
+                assert_multiset_close(spectral_node(g).adjacency, node.adjacency)
+                assert_multiset_close(spectral_node(g).laplacian, node.laplacian)
+                assert spectral_node(g).energy == pytest.approx(node.energy, abs=1e-7)
+                assert spectral_node(g).laplacian_energy == pytest.approx(
                     node.laplacian_energy, abs=1e-7
                 )
         assert 2.0 * node.m / node.n == pytest.approx(4.0 - 2.0 / m - 2.0 / n)
@@ -126,10 +125,10 @@ def test_cylinder_formula_matches_solver():
                     if r2 > n - 1:
                         continue
                     g = cylinder(m, r1, n, r2)
-                    assert_multiset_close(dense_node(g).adjacency, node.adjacency)
-                    assert_multiset_close(dense_node(g).laplacian, node.laplacian)
-                    assert dense_node(g).energy == pytest.approx(node.energy, abs=1e-7)
-                    assert dense_node(g).laplacian_energy == pytest.approx(
+                    assert_multiset_close(spectral_node(g).adjacency, node.adjacency)
+                    assert_multiset_close(spectral_node(g).laplacian, node.laplacian)
+                    assert spectral_node(g).energy == pytest.approx(node.energy, abs=1e-7)
+                    assert spectral_node(g).laplacian_energy == pytest.approx(
                         node.laplacian_energy, abs=1e-7
                     )
 
@@ -141,10 +140,10 @@ def test_torus_formula_and_regular_energy_identity():
                 for r2 in (0, 1):
                     node = _node(f"torus:m={m},r1={r1},n={n},r2={r2}")
                     g = torus(m, r1, n, r2)
-                    assert_multiset_close(dense_node(g).adjacency, node.adjacency)
-                    assert_multiset_close(dense_node(g).laplacian, node.laplacian)
+                    assert_multiset_close(spectral_node(g).adjacency, node.adjacency)
+                    assert_multiset_close(spectral_node(g).laplacian, node.laplacian)
                     assert node.energy == pytest.approx(node.laplacian_energy, abs=1e-10)
-                    assert dense_node(g).energy == pytest.approx(node.energy, abs=1e-7)
+                    assert spectral_node(g).energy == pytest.approx(node.energy, abs=1e-7)
                     zero = any(abs(v) <= 1e-9 for v in node.laplacian)
                     assert zero == (r1 % 2 == 0 and r2 % 2 == 0)
 
@@ -154,12 +153,12 @@ def test_torus_formula_and_regular_energy_identity():
 
 def test_line_spectrum_general_tree_case():
     star = SignedGraph(4, ((0, 1, 1), (0, 2, -1), (0, 3, 1)))
-    lap = sorted(dense_node(star).laplacian)
+    lap = sorted(spectral_node(star).laplacian)
     got = formulas.line_spectrum_general(lap, star.m, star.n, 1)
     # m - n + b = 0: no extra eigenvalue 2 appears
     assert len(got) == star.m
     assert_multiset_close(
-        got, dense_node(line_graph(star).graph).adjacency, tol=1e-7
+        got, spectral_node(line_graph(star).graph).adjacency, tol=1e-7
     )
 
 
@@ -168,12 +167,12 @@ def test_line_spectrum_general_random_graphs():
     for _ in range(50):
         g = random_signed_graph(rng, int(rng.integers(1, 8)), 0.5)
         rep = balance_report(g)
-        lap = sorted(dense_node(g).laplacian)
+        lap = sorted(spectral_node(g).laplacian)
         got = formulas.line_spectrum_general(lap, g.m, g.n, rep.b)
-        want = dense_node(line_graph(g).graph).adjacency
+        want = spectral_node(line_graph(g).graph).adjacency
         assert_multiset_close(got, want, tol=1e-7)
         assert energy_from_spectrum(got) == pytest.approx(
-            dense_node(line_graph(g).graph).energy, abs=1e-7
+            spectral_node(line_graph(g).graph).energy, abs=1e-7
         )
 
 
@@ -194,7 +193,7 @@ def test_line_of_positive_complete_via_general_transform():
         got = formulas.line_spectrum_general(lap, m, n, 1)
         expected = [2.0 - n] * (n - 1) + [2.0] * ((n - 1) * (n - 2) // 2)
         assert_multiset_close(got, expected)
-        solver = dense_node(line_graph(complete(n, 1)).graph).adjacency
+        solver = spectral_node(line_graph(complete(n, 1)).graph).adjacency
         assert_multiset_close(got, solver, tol=1e-7)
 
 
@@ -215,8 +214,8 @@ def test_regular_transform_on_complete_graphs():
             [3.0 * n - 6.0] * (n - 1) + [2.0 * n - 6.0] * ((n - 1) * (n - 2) // 2),
         )
         lg = line_graph(complete(n, 1)).graph
-        assert_multiset_close(plus.laplacian, dense_node(lg).laplacian, tol=1e-7)
-        assert plus.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
+        assert_multiset_close(plus.laplacian, spectral_node(lg).laplacian, tol=1e-7)
+        assert plus.energy == pytest.approx(spectral_node(lg).energy, abs=1e-7)
 
         # -K_n itself is unbalanced for n >= 3 but its negation +K_n is
         # balanced, so -k appears once in the spectrum
@@ -226,8 +225,8 @@ def test_regular_transform_on_complete_graphs():
         )
         assert_multiset_close(minus.adjacency, expected)
         lgm = line_graph(complete(n, -1)).graph
-        assert_multiset_close(minus.adjacency, dense_node(lgm).adjacency, tol=1e-7)
-        assert minus.energy == pytest.approx(dense_node(lgm).energy, abs=1e-7)
+        assert_multiset_close(minus.adjacency, spectral_node(lgm).adjacency, tol=1e-7)
+        assert minus.energy == pytest.approx(spectral_node(lgm).energy, abs=1e-7)
 
 
 def test_regular_transform_energy_equals_laplacian_energy():
@@ -237,9 +236,9 @@ def test_regular_transform_energy_equals_laplacian_energy():
         for r in range(3):
             res = _node(f"cycle:n={n},r={r}", True)
             lg = line_graph(cycle(n, r)).graph
-            assert res.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
-            assert res.energy == pytest.approx(dense_node(lg).laplacian_energy, abs=1e-7)
-            assert res.laplacian_energy == pytest.approx(dense_node(lg).laplacian_energy, abs=1e-7)
+            assert res.energy == pytest.approx(spectral_node(lg).energy, abs=1e-7)
+            assert res.energy == pytest.approx(spectral_node(lg).laplacian_energy, abs=1e-7)
+            assert res.laplacian_energy == pytest.approx(spectral_node(lg).laplacian_energy, abs=1e-7)
 
 
 # --- line graphs of Cartesian products (structured nodes) -------------------
@@ -249,8 +248,8 @@ def test_cartesian_line_transform_on_grids():
     for m, n in ((2, 2), (3, 4), (5, 5), (1, 5), (6, 2)):
         res = _node(f"grid:m={m},n={n}", True)
         lg = line_graph(grid(m, 0, n, 0)).graph
-        assert_multiset_close(res.adjacency, dense_node(lg).adjacency, tol=1e-7)
-        assert res.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
+        assert_multiset_close(res.adjacency, spectral_node(lg).adjacency, tol=1e-7)
+        assert res.energy == pytest.approx(spectral_node(lg).energy, abs=1e-7)
     # the 2 x 2 case closes the loop: the grid is C_4, its line graph is
     # C_4 again, so the energy must come back to 4
     assert _node("grid:m=2,n=2", True).energy == pytest.approx(4.0, abs=1e-9)
@@ -263,9 +262,9 @@ def test_cartesian_line_transform_on_cylinders():
                 res = _node(f"cylinder:m={m},r1={r1},n={n}", True)
                 lg = line_graph(cylinder(m, r1, n, 0)).graph
                 assert_multiset_close(
-                    res.adjacency, dense_node(lg).adjacency, tol=1e-7
+                    res.adjacency, spectral_node(lg).adjacency, tol=1e-7
                 )
-                assert res.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
+                assert res.energy == pytest.approx(spectral_node(lg).energy, abs=1e-7)
 
 
 def test_torus_line_spectra():
@@ -273,10 +272,10 @@ def test_torus_line_spectra():
         res = _node(f"torus:m={m},r1={r1},n={n},r2={r2}", True)
         lg = line_graph(torus(m, r1, n, r2)).graph
         assert lg.n == 2 * m * n
-        assert_multiset_close(res.adjacency, dense_node(lg).adjacency, tol=1e-7)
-        assert_multiset_close(res.laplacian, dense_node(lg).laplacian, tol=1e-7)
-        assert res.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
-        assert res.energy == pytest.approx(dense_node(lg).laplacian_energy, abs=1e-7)
+        assert_multiset_close(res.adjacency, spectral_node(lg).adjacency, tol=1e-7)
+        assert_multiset_close(res.laplacian, spectral_node(lg).laplacian, tol=1e-7)
+        assert res.energy == pytest.approx(spectral_node(lg).energy, abs=1e-7)
+        assert res.energy == pytest.approx(spectral_node(lg).laplacian_energy, abs=1e-7)
         # the mn extra adjacency values sit at 2, the Laplacian ones at 4
         assert sum(1 for v in res.adjacency if abs(v - 2.0) <= 1e-9) >= m * n
         assert sum(1 for v in res.laplacian if abs(v - 4.0) <= 1e-9) >= m * n
@@ -292,14 +291,14 @@ def test_homogeneous_line_spectra_on_complete_graphs():
         plus = _node(f"complete:n={n},sign=+", True)
         assert plus.energy == pytest.approx(2.0 * (n - 1) * (n - 2), abs=1e-9)
         lg = line_graph(complete(n, 1)).graph
-        assert_multiset_close(plus.adjacency, dense_node(lg).adjacency, tol=1e-7)
-        assert_multiset_close(plus.laplacian, dense_node(lg).laplacian, tol=1e-7)
+        assert_multiset_close(plus.adjacency, spectral_node(lg).adjacency, tol=1e-7)
+        assert_multiset_close(plus.laplacian, spectral_node(lg).laplacian, tol=1e-7)
 
         minus = _node(f"complete:n={n},sign=-", True)
         expected_energy = 2.0 * (n - 2) + (n - 1) * abs(n - 4) + n * (n - 3)
         assert minus.energy == pytest.approx(expected_energy, abs=1e-9)
         lgm = line_graph(complete(n, -1)).graph
-        assert_multiset_close(minus.adjacency, dense_node(lgm).adjacency, tol=1e-7)
+        assert_multiset_close(minus.adjacency, spectral_node(lgm).adjacency, tol=1e-7)
 
         # unsigned line graph of K_n, the negation of line(-K_n): spectrum
         # 2(n-2) once, n-4 with multiplicity n-1, -2 with multiplicity m-n;
@@ -309,7 +308,7 @@ def test_homogeneous_line_spectra_on_complete_graphs():
         unsigned_values = -minus.adjacency
         unsigned_laplacian = k + minus.adjacency
         assert_multiset_close(
-            unsigned_values, dense_node(unsigned).adjacency, tol=1e-7
+            unsigned_values, spectral_node(unsigned).adjacency, tol=1e-7
         )
         expected_unsigned = (
             [2.0 * (n - 2)] + [float(n - 4)] * (n - 1) + [-2.0] * (m - n)
@@ -321,7 +320,7 @@ def test_homogeneous_line_spectra_on_complete_graphs():
         )
         assert_multiset_close(
             unsigned_laplacian,
-            dense_node(unsigned).laplacian,
+            spectral_node(unsigned).laplacian,
             tol=1e-7,
         )
 
@@ -330,15 +329,15 @@ def test_homogeneous_line_spectra_on_a_cycle():
     g = cycle(5, 0)
     res = _node("cycle:n=5,r=0", True)
     lg = line_graph(g).graph
-    assert_multiset_close(res.adjacency, dense_node(lg).adjacency, tol=1e-7)
-    assert res.energy == pytest.approx(dense_node(lg).energy, abs=1e-7)
-    assert_multiset_close(res.laplacian, dense_node(lg).laplacian, tol=1e-7)
+    assert_multiset_close(res.adjacency, spectral_node(lg).adjacency, tol=1e-7)
+    assert res.energy == pytest.approx(spectral_node(lg).energy, abs=1e-7)
+    assert_multiset_close(res.laplacian, spectral_node(lg).laplacian, tol=1e-7)
 
     neg = _node("cycle:n=5,r=5", True)  # negate(cycle(5, 0))
     lgn = line_graph(negate(g)).graph
-    assert_multiset_close(neg.adjacency, dense_node(lgn).adjacency, tol=1e-7)
+    assert_multiset_close(neg.adjacency, spectral_node(lgn).adjacency, tol=1e-7)
     assert_multiset_close(
-        -neg.adjacency, dense_node(negate(lgn)).adjacency, tol=1e-7
+        -neg.adjacency, spectral_node(negate(lgn)).adjacency, tol=1e-7
     )
 
 
@@ -431,8 +430,8 @@ PAPER_DISPLAYS = [
 def test_paper_display(display, text, line, formula, args):
     spec = parse_family(text)
     node = spectral_node(spec, line)
-    g = build_family(spec)
-    dense = dense_node(line_graph(g).graph if line else g)
+    g = spectral_node(spec).graph
+    dense = spectral_node(line_graph(g).graph if line else g)
     for field, want in formula(*args).items():
         for route, got in (("structured", getattr(node, field)), ("dense", getattr(dense, field))):
             label = f"{display}, {field} of the {route} node"

@@ -32,7 +32,7 @@ from signet.graphs import (
     to_json_dict,
     underlying,
 )
-from signet.structured import dense_node
+from signet.structured import spectral_node
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -47,17 +47,17 @@ def test_edges_are_canonicalised_sorted():
 
 
 @pytest.fixture(params=["triples", "array", "short-array"])
-def in_form(request, monkeypatch):
-    """Edge triples as given, or as the int64 (m, 3) array that neps hands
-    over: checked in numpy whatever its length ("array"), or with the
-    default cut-off, below which a short array is checked edge by edge."""
-    if request.param == "array":
-        monkeypatch.setattr(graph_module, "ARRAY_MIN_EDGES", 0)
+def in_form(request):
+    """Edge triples as given, or one int64 (m, 3) array, checked in numpy
+    whatever its length: row-major as loads reads it ("array"), or the
+    column-major view that neps hands over ("short-array"; the id dates from
+    a cut-off below which short arrays were kept as triples)."""
 
     def convert(edges):
         if request.param == "triples":
             return edges  # as given, so a one-shot iterator reaches the constructor
-        return np.array(tuple(edges), dtype=np.int64).reshape(-1, 3)
+        rows = np.array(tuple(edges), dtype=np.int64).reshape(-1, 3)
+        return rows if request.param == "array" else np.ascontiguousarray(rows.T).T
 
     return convert
 
@@ -113,8 +113,7 @@ def test_constructor_keeps_canonical_tuples_and_converts_the_rest():
     assert all(type(e) is tuple and all(type(x) is int for x in e) for e in g.edges)
 
 
-def test_array_graph_keeps_a_read_only_copy_and_derives_int_triples(monkeypatch):
-    monkeypatch.setattr(graph_module, "ARRAY_MIN_EDGES", 0)
+def test_array_graph_keeps_a_read_only_copy_and_derives_int_triples():
     given = np.array([[1, 2, 1], [0, 1, -1]], dtype=np.int64)
     g = SignedGraph(3, given)
     given[0, 2] = -1  # the caller's array is not the graph's
@@ -124,24 +123,39 @@ def test_array_graph_keeps_a_read_only_copy_and_derives_int_triples(monkeypatch)
     assert all(type(e) is tuple and all(type(x) is int for x in e) for e in g.edges)
 
 
-def test_short_array_is_kept_as_triples():
-    cut = graph_module.ARRAY_MIN_EDGES
-    path_edges = np.array([[u, u + 1, 1] for u in range(cut)], dtype=np.int64)
-    short, full = SignedGraph(cut + 1, path_edges[:-1]), SignedGraph(cut + 1, path_edges)
-    assert "edges" in vars(short) and not short.from_array
-    assert "edges" not in vars(full) and full.from_array
+def test_short_arrays_stay_arrays():
+    """An edge array of any length keeps its form and answers as its triple twin."""
+    rng = np.random.default_rng(TEST_SEED + 33)
+    pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]  # vertices 12 and 13 stay isolated
+    for rows in (1, 31):
+        picked = sorted(pairs[i] for i in rng.permutation(len(pairs))[:rows])
+        triples = tuple((u, v, int(s)) for (u, v), s in zip(picked, rng.choice((1, -1), rows)))
+        g, h = SignedGraph(14, triples), SignedGraph(14, np.array(triples, dtype=np.int64))
+        assert h.from_array and h.m == rows and not g.from_array
+        assert np.array_equal(adjacency(h), adjacency(g))
+        assert np.array_equal(degrees(h), degrees(g))
+        want, got = balance_report(g), balance_report(h)
+        assert (got.b, got.c, got.c_b) == (want.b, want.c, want.c_b)
+        assert [c.vertices for c in got.components] == [c.vertices for c in want.components]
+        assert "edges" not in vars(h)
+
+
+def test_edge_array_refuses_an_endpoint_past_int64():
+    big = 2**63
+    g = SignedGraph(big + 1, ((0, big, 1),))
+    with pytest.raises(ValueError, match="int64 range"):
+        dumps(g)
 
 
 def test_adjacency_of_a_triple_graph_makes_no_array():
-    n = 2 * graph_module.ARRAY_MIN_EDGES
+    n = 64
     g = SignedGraph(n, tuple((u, u + 1, (-1) ** u) for u in range(n - 1)))
     a = adjacency(g)
     assert "edge_array" not in vars(g)
     assert np.array_equal(a, adjacency(SignedGraph(n, np.array(g.edges, dtype=np.int64))))
 
 
-def test_array_and_triple_forms_agree_on_equality_and_hash(monkeypatch):
-    monkeypatch.setattr(graph_module, "ARRAY_MIN_EDGES", 0)
+def test_array_and_triple_forms_agree_on_equality_and_hash():
     rng = np.random.default_rng(TEST_SEED + 32)
     for n in (0, 1, 6, 25):
         g = random_signed_graph(rng, n, 0.5)
@@ -185,7 +199,7 @@ def test_adjacency_negative_triangle():
 
 
 def test_adjacency_spectrum_of_signed_five_cycle():
-    vals = dense_node(cycle(5, 1)).adjacency
+    vals = spectral_node(cycle(5, 1)).adjacency
     expected = [2 * math.cos((2 * j - 1) * math.pi / 5) for j in range(1, 6)]
     assert_multiset_close(vals, expected)
 
@@ -242,8 +256,8 @@ def test_negate_complete_and_involution():
 def test_negate_reflects_spectrum():
     rng = np.random.default_rng(TEST_SEED + 2)
     g = random_signed_graph(rng, 8, 0.5)
-    vals = dense_node(g).adjacency
-    neg_vals = dense_node(negate(g)).adjacency
+    vals = spectral_node(g).adjacency
+    neg_vals = spectral_node(negate(g)).adjacency
     assert_multiset_close(neg_vals, [-v for v in vals], tol=1e-8)
 
 
@@ -283,8 +297,8 @@ def test_switching_invariance_of_spectrum():
         g = random_signed_graph(rng, int(rng.integers(1, 8)), 0.5)
         s = [int(x) for x in rng.choice([1, -1], size=g.n)]
         assert_multiset_close(
-            dense_node(switch(g, s)).adjacency,
-            dense_node(g).adjacency,
+            spectral_node(switch(g, s)).adjacency,
+            spectral_node(g).adjacency,
             tol=1e-8,
         )
 
@@ -357,10 +371,9 @@ def _balance_cases(rng):
         yield negate(underlying(g))
 
 
-def test_array_balance_sweep_equals_the_breadth_first_sweep(monkeypatch):
+def test_array_balance_sweep_equals_the_breadth_first_sweep():
     """The double-cover sweep of an edge-array graph against the
     breadth-first sweep of the same graph kept as triples."""
-    monkeypatch.setattr(graph_module, "ARRAY_MIN_EDGES", 0)
     for g in _balance_cases(np.random.default_rng(TEST_SEED + 9)):
         h = SignedGraph(g.n, g.edge_array)
         assert h.from_array and not g.from_array
@@ -548,7 +561,7 @@ def test_fast_reader_agrees_with_the_json_route(text, canonical, monkeypatch):
     fast, slow = _read_both_ways(text)
     assert fast == slow
     assert not parsed == canonical
-    if canonical and isinstance(fast, SignedGraph) and fast.m >= graph_module.ARRAY_MIN_EDGES:
+    if canonical and isinstance(fast, SignedGraph):
         assert fast.from_array
 
 

@@ -16,7 +16,7 @@ from signet.graphs import (
     negate,
 )
 from signet.linegraph import line_graph
-from signet.structured import dense_node
+from signet.structured import spectral_node
 
 
 def test_line_of_path_three_is_one_edge():
@@ -71,8 +71,8 @@ def test_all_negative_signature_negates_the_classical_line_graph():
         assert all(s == -1 for _, _, s in neg_line.edges)
         classical = underlying(pos_line)
         assert_multiset_close(
-            dense_node(neg_line).adjacency,
-            [-v for v in dense_node(classical).adjacency],
+            spectral_node(neg_line).adjacency,
+            [-v for v in spectral_node(classical).adjacency],
             tol=1e-8,
         )
 
@@ -98,7 +98,7 @@ def test_eigenvalue_window():
         g = random_signed_graph(rng, int(rng.integers(2, 9)), 0.6)
         if g.m == 0:
             continue
-        vals = dense_node(line_graph(g).graph).adjacency
+        vals = spectral_node(line_graph(g).graph).adjacency
         maxdeg = int(degrees(g).max())
         assert vals[-1] <= 2.0 + 1e-8
         assert vals[0] >= -2.0 * (maxdeg - 1) - 1e-8
@@ -109,9 +109,9 @@ def test_spectrum_law_from_laplacian():
     for _ in range(60):
         g = random_signed_graph(rng, int(rng.integers(1, 9)), 0.5)
         rep = balance_report(g)
-        lap = sorted(dense_node(g).laplacian)
+        lap = sorted(spectral_node(g).laplacian)
         expected = [2.0 - v for v in lap[rep.b :]] + [2.0] * (g.m - g.n + rep.b)
-        got = dense_node(line_graph(g).graph).adjacency
+        got = spectral_node(line_graph(g).graph).adjacency
         assert_multiset_close(got, expected, tol=1e-7)
 
 
@@ -121,7 +121,7 @@ def test_line_of_complete_graphs():
     # again a negative triangle.
     lg = line_graph(complete(4, 1)).graph
     assert_multiset_close(
-        dense_node(lg).adjacency, [-2.0, -2.0, -2.0, 2.0, 2.0, 2.0]
+        spectral_node(lg).adjacency, [-2.0, -2.0, -2.0, 2.0, 2.0, 2.0]
     )
     lg3 = line_graph(complete(3, -1)).graph
-    assert_multiset_close(dense_node(lg3).adjacency, [-2.0, 1.0, 1.0])
+    assert_multiset_close(spectral_node(lg3).adjacency, [-2.0, 1.0, 1.0])

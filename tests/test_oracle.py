@@ -1,16 +1,18 @@
-"""Brute-force verifiers and their agreement with the production code."""
+"""The exact rank, the brute-force referees of ``referees`` and their
+agreement with the production code."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import referees
 from conftest import TEST_SEED, assert_multiset_close
+from referees import balance_by_cycles, balance_by_switching, eigenvalues_ql
 
-from signet import oracle
 from signet.families import complete, cycle, path, random_signed_graph, torus
 from signet.graphs import SignedGraph, adjacency, balance_report, laplacian, underlying
-from signet.oracle import balance_by_cycles, balance_by_switching, eigenvalues_ql, rank_exact
+from signet.oracle import rank_exact
 from signet.spectra import EigensolverError, eigenvalues
 
 
@@ -87,6 +89,6 @@ def test_ql_oracle_degenerate_orders():
 
 
 def test_ql_oracle_raises_when_iteration_cap_is_hit(monkeypatch):
-    monkeypatch.setattr(oracle, "_MAX_QL_ITERATIONS", 0)
+    monkeypatch.setattr(referees, "_MAX_QL_ITERATIONS", 0)
     with pytest.raises(EigensolverError):
         eigenvalues_ql(adjacency(cycle(5, 1)))

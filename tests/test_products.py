@@ -26,7 +26,7 @@ from signet.products import (
     symmetric_p,
 )
 from signet.spectra import eigenvalues
-from signet.structured import dense_node, leaf_node, product_node
+from signet.structured import LeafNode, ProductNode, spectral_node
 
 
 @pytest.fixture(autouse=True)
@@ -107,12 +107,6 @@ def test_kron_sum_strong_basis_is_plain_kron():
     a2 = adjacency(path(3, 1)).astype(float)
     got = kron_sum_over_basis([a1, a2], strong_basis(2))
     assert np.array_equal(got, np.kron(a1, a2))
-
-
-def test_kron_sum_supports_general_powers():
-    a = adjacency(cycle(5, 0)).astype(float)
-    got = kron_sum_over_basis([a], [(2,)])
-    assert np.allclose(got, a @ a)
 
 
 # --- NEPS -------------------------------------------------------------------
@@ -233,7 +227,7 @@ def test_edge_disjointness_across_basis_vectors():
     full = Basis(2, ((0, 1), (1, 0), (1, 1)))
     total = neps(factors, full).m
     parts = sum(
-        int(np.count_nonzero(kron_sum_over_basis(mats, [vec]))) // 2
+        int(np.count_nonzero(np.kron(*(a if bit else np.eye(len(a), dtype=a.dtype) for a, bit in zip(mats, vec))))) // 2
         for vec in full.vectors
     )
     assert total == parts
@@ -243,7 +237,7 @@ def test_neps_spectrum_composition():
     rng = np.random.default_rng(TEST_SEED + 5)
     factors = [random_signed_graph(rng, 3, 0.7), random_signed_graph(rng, 4, 0.7)]
     basis = Basis(2, ((1, 0), (1, 1)))
-    spectra = [dense_node(f).adjacency for f in factors]
+    spectra = [spectral_node(f).adjacency for f in factors]
     expected = []
     for lam in spectra[0]:
         for mu in spectra[1]:
@@ -251,7 +245,7 @@ def test_neps_spectrum_composition():
                 math.prod(v for v, bit in zip((lam, mu), vec) if bit)
                 for vec in basis.vectors
             ))
-    got = dense_node(neps(factors, basis)).adjacency
+    got = spectral_node(neps(factors, basis)).adjacency
     assert_multiset_close(got, expected, tol=1e-7)
 
 
@@ -264,17 +258,17 @@ def test_cartesian_of_two_edges_is_positive_square():
     assert got.n == 4 and got.m == 4
     assert all(s == 1 for _, _, s in got.edges)
     assert_multiset_close(
-        dense_node(got).adjacency, [-2.0, 0.0, 0.0, 2.0], tol=1e-8
+        spectral_node(got).adjacency, [-2.0, 0.0, 0.0, 2.0], tol=1e-8
     )
 
 
 def test_cartesian_eigenvalues_are_sums():
     f1, f2 = cycle(4, 1), path(3, 0)
-    got = dense_node(cartesian([f1, f2])).adjacency
+    got = spectral_node(cartesian([f1, f2])).adjacency
     expected = [
         a + b
-        for a in dense_node(f1).adjacency
-        for b in dense_node(f2).adjacency
+        for a in spectral_node(f1).adjacency
+        for b in spectral_node(f2).adjacency
     ]
     assert_multiset_close(got, expected, tol=1e-7)
 
@@ -317,7 +311,7 @@ def test_cartesian_degree_matrix_of_regular_factors():
 
 def test_grid_average_degree():
     for m, n in ((2, 2), (3, 5), (6, 4)):
-        node = product_node(cartesian_basis(2), [leaf_node("path", m, 0), leaf_node("path", n, 0)])
+        node = ProductNode(cartesian_basis(2), [LeafNode("path", m, 0), LeafNode("path", n, 0)])
         got = 2 * node.m / node.n
         assert got == pytest.approx(4.0 - 2.0 / m - 2.0 / n)
 
@@ -395,19 +389,19 @@ def test_energy_bound_with_equality_and_strictness():
             while g.m == 0:
                 g = random_signed_graph(rng, int(rng.integers(2, 5)), 0.8)
             factors.append(g)
-        rates = [dense_node(f).energy / f.n for f in factors]
+        rates = [spectral_node(f).energy / f.n for f in factors]
         tensor = strong(factors)
-        assert dense_node(tensor).energy / tensor.n == pytest.approx(rates[0] * rates[1], abs=1e-8)
+        assert spectral_node(tensor).energy / tensor.n == pytest.approx(rates[0] * rates[1], abs=1e-8)
         basis = Basis(2, ((0, 1), (1, 0), (1, 1)))
         g = neps(factors, basis)
-        lhs = dense_node(g).energy / g.n
+        lhs = spectral_node(g).energy / g.n
         rhs = rates[0] + rates[1] + rates[0] * rates[1]
         assert lhs <= rhs + 1e-9
         if rhs - lhs > 1e-9:
             checked_strict += 1
         cart = cartesian(factors)
-        l_lhs = dense_node(cart).laplacian_energy / cart.n
-        l_rhs = sum(dense_node(f).laplacian_energy / f.n for f in factors)
+        l_lhs = spectral_node(cart).laplacian_energy / cart.n
+        l_rhs = sum(spectral_node(f).laplacian_energy / f.n for f in factors)
         assert l_lhs < l_rhs + 1e-9
     assert checked_strict == 40  # strict whenever |B| > 1 and no factor edgeless
 

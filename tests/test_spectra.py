@@ -20,7 +20,7 @@ from signet.graphs import (
 )
 from signet.linegraph import line_graph
 from signet.spectra import eigenvalues
-from signet.structured import dense_node
+from signet.structured import spectral_node
 
 
 # --- solver behaviour -------------------------------------------------------
@@ -44,12 +44,12 @@ def test_input_validation():
 
 def test_complete_graph_spectrum():
     for n in range(2, 9):
-        vals = dense_node(complete(n, 1)).adjacency
+        vals = spectral_node(complete(n, 1)).adjacency
         assert_multiset_close(vals, [-1.0] * (n - 1) + [n - 1.0])
 
 
 def test_signed_four_cycle_spectrum():
-    vals = dense_node(cycle(4, 1)).adjacency
+    vals = spectral_node(cycle(4, 1)).adjacency
     root2 = math.sqrt(2.0)
     assert_multiset_close(vals, [-root2, -root2, root2, root2])
 
@@ -69,7 +69,7 @@ def test_laplacian_psd_and_kernel_counts_balanced_components():
     rng = np.random.default_rng(TEST_SEED + 2)
     for _ in range(60):
         g = random_signed_graph(rng, int(rng.integers(1, 9)), 0.5)
-        lap = dense_node(g).laplacian
+        lap = spectral_node(g).laplacian
         assert lap[0] >= -1e-8 if len(lap) else True
         assert multiplicity_of(lap, 0.0, 1e-6) == balance_report(g).b
 
@@ -79,16 +79,16 @@ def test_laplacian_psd_and_kernel_counts_balanced_components():
 
 def test_energies_of_edgeless_graph_vanish():
     g = SignedGraph(4)
-    assert dense_node(g).energy == 0.0
-    assert dense_node(g).laplacian_energy == 0.0
-    assert dense_node(SignedGraph(0)).laplacian_energy == 0.0
+    assert spectral_node(g).energy == 0.0
+    assert spectral_node(g).laplacian_energy == 0.0
+    assert spectral_node(SignedGraph(0)).laplacian_energy == 0.0
 
 
 def test_line_graph_of_complete_five_energy():
     # Sum of |2 - mu| over the positive Laplacian spectrum {5 x 4} of K_5
     # plus 2 per extra eigenvalue 2 gives 4*3 + 2*(10 - 5 + 1) = 24.
     lg = line_graph(complete(5, 1)).graph
-    assert dense_node(lg).energy == pytest.approx(24.0, abs=1e-7)
+    assert spectral_node(lg).energy == pytest.approx(24.0, abs=1e-7)
 
 
 def test_two_by_two_grid_energy_is_four():
@@ -97,16 +97,16 @@ def test_two_by_two_grid_energy_is_four():
     for r1 in (0, 1):
         for r2 in (0, 1):
             g = cartesian([path(2, r1), path(2, r2)])
-            assert dense_node(g).energy == pytest.approx(4.0, abs=1e-7)
+            assert spectral_node(g).energy == pytest.approx(4.0, abs=1e-7)
             assert_multiset_close(
-                dense_node(g).adjacency, [-2.0, 0.0, 0.0, 2.0]
+                spectral_node(g).adjacency, [-2.0, 0.0, 0.0, 2.0]
             )
 
 
 def test_regular_graphs_have_equal_energies():
     cases = [cycle(6, 1), cycle(5, 0), complete(5, -1), torus(3, 1, 3, 0)]
     for g in cases:
-        assert dense_node(g).laplacian_energy == pytest.approx(dense_node(g).energy, abs=1e-7)
+        assert spectral_node(g).laplacian_energy == pytest.approx(spectral_node(g).energy, abs=1e-7)
 
 
 def test_toroidal_energy_matches_cosine_double_sum():
@@ -117,8 +117,8 @@ def test_toroidal_energy_matches_cosine_double_sum():
             total += abs(
                 2 * math.cos((2 * i - 1) * math.pi / 3) + 2 * math.cos(2 * j * math.pi / 3)
             )
-    assert dense_node(g).energy == pytest.approx(total, abs=1e-7)
-    assert dense_node(g).laplacian_energy == pytest.approx(total, abs=1e-7)
+    assert spectral_node(g).energy == pytest.approx(total, abs=1e-7)
+    assert spectral_node(g).laplacian_energy == pytest.approx(total, abs=1e-7)
 
 
 def test_regular_spectrum_ladder():
@@ -129,10 +129,10 @@ def test_regular_spectrum_ladder():
     cases += [torus(3, r1, 4, r2) for r1 in (0, 1) for r2 in (0, 1)]
     for g in cases:
         k = int(degrees(g)[0])
-        spec = dense_node(g).adjacency
+        spec = spectral_node(g).adjacency
         assert multiplicity_of(spec, float(k), 1e-6) == balance_report(g).b
         assert multiplicity_of(spec, float(-k), 1e-6) == balance_report(negate(g)).b
-        lap = dense_node(g).laplacian
+        lap = spectral_node(g).laplacian
         assert_multiset_close(lap, [k - v for v in spec])
 
 
@@ -147,10 +147,10 @@ def test_multiplicity_counting():
 
 
 def test_multiplicity_of_two_in_line_of_complete_four():
-    spec = dense_node(line_graph(complete(4, 1)).graph).adjacency
+    spec = spectral_node(line_graph(complete(4, 1)).graph).adjacency
     assert multiplicity_of(spec, 2.0, 1e-6) == 3  # C(3, 2)
 
 
 def test_odd_signature_six_cycle_laplacian_has_no_zero():
-    spec = dense_node(cycle(6, 1)).laplacian
+    spec = spectral_node(cycle(6, 1)).laplacian
     assert multiplicity_of(spec, 0.0, 1e-6) == 0

@@ -11,17 +11,11 @@ import pytest
 from conftest import TEST_SEED
 
 from signet.cli import _report, main
-from signet.families import build_family, parse_family, path, random_signed_graph
+from signet.families import parse_family, path, random_signed_graph
 from signet.graphs import SignedGraph, balance_report, degrees, dumps, loads
 from signet.linegraph import line_graph
 from signet.products import cartesian, cartesian_basis, neps
-from signet.structured import (
-    dense_node,
-    line_balance,
-    line_node,
-    product_node,
-    spectral_node,
-)
+from signet.structured import LineNode, ProductNode, line_balance, spectral_node
 from signet.verify import _random_basis, _random_factors
 
 MAX_ORDER = 8  # leaves and product factors of orders 1..8 (cycles 3..8)
@@ -61,7 +55,7 @@ def _assert_reports_agree(got: dict, want: dict, n: int, label: str):
 def _assert_nodes_agree(node, fresh, built, label: str):
     """``node`` and ``fresh`` (an unevaluated twin, read as ``--csv`` reads
     it) against the dense node of ``built``."""
-    ref = dense_node(built)
+    ref = spectral_node(built)
     assert (node.n, node.m, node.max_degree, node.min_degree, node.regular) == (
         ref.n, ref.m, ref.max_degree, ref.min_degree, ref.regular,
     ), label
@@ -75,7 +69,7 @@ def _assert_nodes_agree(node, fresh, built, label: str):
 def test_structured_reports_equal_dense_reports_of_built_graphs():
     for text in FAMILIES:
         spec = parse_family(text)
-        g = build_family(spec)
+        g = spectral_node(spec).graph
         for line in (False, True):
             built = line_graph(g).graph if line else g
             _assert_nodes_agree(spectral_node(spec, line), spectral_node(spec, line), built, f"{text} line={line}")
@@ -96,8 +90,8 @@ def test_product_tree_equals_dense_route_on_random_factor_sets():
         label = f"case {i}: {basis.vectors} over {factors}"
 
         def tree(line):
-            node = product_node(basis, [dense_node(f) for f in factors])
-            return line_node(node) if line else node
+            node = ProductNode(basis, [spectral_node(f) for f in factors])
+            return LineNode(node) if line else node
 
         _assert_nodes_agree(tree(False), tree(False), g, label)
         if g.m <= LINE_CASE_MAX_EDGES:
@@ -116,8 +110,8 @@ def _sparse_files():
 def test_line_of_file_equals_dense_route_on_corpus(corpus):
     # Bases with several components, which the line rule used to refuse.
     for i, g in enumerate([*corpus, *_sparse_files()]):
-        _assert_nodes_agree(line_node(dense_node(g)), line_node(dense_node(g)), line_graph(g).graph, f"graph {i}")
-        assert dense_node(g).components == tuple(_component_data(g)), f"graph {i}"
+        _assert_nodes_agree(LineNode(spectral_node(g)), LineNode(spectral_node(g)), line_graph(g).graph, f"graph {i}")
+        assert spectral_node(g).components == tuple(_component_data(g)), f"graph {i}"
 
 
 def test_line_of_path_is_the_path_leaf():
@@ -141,7 +135,7 @@ def test_product_spectrum_command_equals_the_built_product(tmp_path, capsys):
                            for k, v in json.loads(capsys.readouterr().out).items()})
         for line in (False, True):
             built = line_graph(g).graph if line else g
-            ref = dense_node(built)
+            ref = spectral_node(built)
             flags = ["--line"] if line else []
             assert main(["spectrum", *inputs, "--basis", basis, *flags]) == 0
             _assert_reports_agree(json.loads(capsys.readouterr().out), _report(ref), built.n, f"{basis} {flags}")
@@ -218,8 +212,8 @@ def test_cartesian_rule_on_random_factor_pairs():
     for _ in range(60):
         f = random_signed_graph(rng, int(rng.integers(1, 6)), float(rng.choice([0.2, 0.5, 0.8])))
         h = random_signed_graph(rng, int(rng.integers(1, 6)), float(rng.choice([0.2, 0.5, 0.8])))
-        got = product_node(cartesian_basis(2), [dense_node(f), dense_node(h)])
-        want = dense_node(cartesian([f, h]))
+        got = ProductNode(cartesian_basis(2), [spectral_node(f), spectral_node(h)])
+        want = spectral_node(cartesian([f, h]))
         label = f"{f} x {h}"
         assert (got.n, got.m, got.b, got.c, got.c_b, got.max_degree, got.regular) == (
             want.n, want.m, want.b, want.c, want.c_b, want.max_degree, want.regular,

@@ -112,10 +112,22 @@ def test_traced_line_of_a_grid_records_the_product_and_the_line_graph(tracer_mod
     assert tracer.summary(latencies)["consistent"]
 
 
+def test_traced_rank_suite_records_the_exact_rank(tracer_module, capsys):
+    """``oracle.rank_exact`` is what the ``oracle.rank_ms`` layer metric measures."""
+    tracer = tracer_module.Tracer()
+    latencies = _traced(tracer, (["verify", "rank", "--max", "4"],))
+    assert capsys.readouterr().out.startswith("rank: 200 checks, 0 failures")
+    assert "oracle.rank_exact" in {span[3] for span in tracer.spans}
+    summary = tracer.summary(latencies)
+    assert summary["consistent"]
+    assert summary["metrics"]["oracle.rank_ms"] > 0
+
+
 def test_public_names_resolve(tracer_module):
     """The tracer looks up every exported name; a stale export would crash
     ``--trace 1``."""
-    for module in (signet, *(importlib.import_module(f"signet.{m}") for m in tracer_module.LAYER_MODULES)):
+    layers = [importlib.import_module(f"signet.{m}") for m in tracer_module.LAYER_MODULES]
+    for module in (signet, importlib.import_module("signet.structured"), *layers):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
     removed = {
@@ -129,6 +141,31 @@ def test_public_names_resolve(tracer_module):
             "laplacian_energy",
         },
         "signet.products": {"ProductVertexMap", "kron", "neps_degree_matrix", "average_degree"},
+        "signet.structured": {
+            "leaf_node",
+            "dense_node",
+            "product_node",
+            "line_node",
+            "family_node",
+            "_Leaf",
+            "_Dense",
+            "_Product",
+            "_Line",
+        },
+        "signet.families": {"build_family"},
+        "signet.graphs": {"ARRAY_MIN_EDGES"},
+        "signet.oracle": {
+            "eigenvalues_ql",
+            "_householder_tridiagonalize",
+            "_ql_eigenvalues",
+            "_MAX_QL_ITERATIONS",
+            "balance_by_cycles",
+            "balance_by_switching",
+            "_union_find_components",
+            "_CYCLE_CAP",
+            "_SWITCH_CAP",
+        },
+        "signet.verify": {"_multiset_close"},
     }
     for module_name, names in removed.items():
         module = importlib.import_module(module_name)
