@@ -19,6 +19,7 @@ from .graphs import (
     SignedGraph,
     adjacency,
     balance_report,
+    degrees,
     incidence,
     laplacian,
     underlying,
@@ -307,15 +308,9 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
     for n in range(3, 9):
         for r in range(n + 1):
             lg = line_graph(cycle(n, r)).graph
-            degs = [0] * lg.n
-            signprod = 1
-            for u, v, s in lg.edges:
-                degs[u] += 1
-                degs[v] += 1
-                signprod *= s
-            cyc_ok = lg.n == n and lg.m == n and all(d == 2 for d in degs)
+            cyc_ok = lg.n == n and lg.m == n and (degrees(lg) == 2).all()
             result.record(
-                cyc_ok and signprod == (-1) ** r,
+                cyc_ok and lg.edge_array[:, 2].prod() == (-1) ** r,
                 f"line(cycle({n},{r})): not a cycle with sign (-1)^{r}",
             )
     return result

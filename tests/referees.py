@@ -5,13 +5,16 @@ components come from union-find rather than the sweeps in
 :mod:`signet.graphs`, balance is decided by exhaustive cycle enumeration or
 exhaustive switching, and eigenvalues come from a pure-Python Householder
 tridiagonalisation followed by implicit-shift QL rather than the LAPACK
-routine behind :func:`signet.spectra.eigenvalues`.
+routine behind :func:`signet.spectra.eigenvalues`, and line graphs come
+from a pair loop over each vertex's incident edges rather than the
+whole-array build of :func:`signet.linegraph.line_graph`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -109,6 +112,28 @@ def balance_by_switching(g: SignedGraph) -> bool:
         if not found:
             return False
     return True
+
+
+def line_graph_by_pairs(g: SignedGraph) -> SignedGraph:
+    """The signed line graph of g, one incident edge pair at a time.
+
+    Vertices are edge indices of g in stored order.  For source edge
+    (u, v, s) the incidence entry is +1 at u and -s at v; edges e < f
+    meeting at w are joined with sign -eta_w(e) * eta_w(f).  Incidences are
+    collected at edge endpoints only, so it reads any triple graph,
+    whatever the size of its endpoints.
+    """
+    incident: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for k, (u, v, s) in enumerate(g.edges):
+        incident[u].append((k, 1))
+        incident[v].append((k, -s))
+    edges = []
+    for here in incident.values():
+        # Edge indices were appended in increasing order, so e < f.
+        for a, (e, eta_e) in enumerate(here):
+            for f, eta_f in here[a + 1 :]:
+                edges.append((e, f, -eta_e * eta_f))
+    return SignedGraph(g.m, tuple(edges))
 
 
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

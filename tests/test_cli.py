@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import TEST_SEED, assert_multiset_close
+from referees import line_graph_by_pairs
 
 import signet
 from signet import formulas
@@ -120,6 +121,51 @@ def test_spectrum_of_a_file_never_makes_edge_triples(tmp_path, monkeypatch, caps
     want = spectral_node(g)
     assert out == json.dumps(_report(want)) + "\n"
     assert out_csv == "\n".join("%.12g" % v for v in want.adjacency) + "\n"
+
+
+@pytest.mark.parametrize("command, family", [("line", "torus:m=6,r1=1,n=5,r2=2"), ("spectrum", "grid:m=5,r1=2,n=4")])
+def test_line_graph_of_a_family_never_makes_edge_triples(monkeypatch, capsys, command, family):
+    """From the product's edge array to the line graph's JSON text or
+    spectrum report, neither the base nor its line graph gets triples."""
+    built = []
+
+    def record(g):
+        built.append((g, line_graph(g)))
+        return built[-1][1]
+
+    monkeypatch.setattr("signet.linegraph.line_graph", record)
+    code, out, _ = run(capsys, command, "--family", family, *(["--line"] if command == "spectrum" else []))
+    assert code == 0 and len(built) == 1
+    base, result = built[0]
+    assert base.from_array and result.graph.from_array
+    assert "edges" not in vars(base) and "edges" not in vars(result.graph)
+    want = line_graph_by_pairs(spectral_node(parse_family(family)).graph)
+    if command == "line":
+        assert out == dumps(want) + "\n"
+        return
+    got, dense = json.loads(out), _report(spectral_node(want))
+    assert got["balance"] == dense["balance"]
+    for key in ("spectrum", "laplacian_spectrum"):
+        assert_multiset_close(got[key], dense[key], tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["line"], '{"n": 2, "edges": [[0, 1, 1]]}\n'),
+        (
+            ["spectrum", "--line"],
+            '{"spectrum": [-1.0, 1.0000000000000002], "laplacian_spectrum": [0.0, 2.0], "energy": 2.0, '
+            '"laplacian_energy": 2.0, "balance": {"b": 1, "c": 1, "c_b": 1, "balanced": true}}\n',
+        ),
+    ],
+    ids=["line", "spectrum-line"],
+)
+def test_line_graph_of_a_file_with_an_endpoint_past_int64(tmp_path, capsys, argv, want):
+    """The base has no edge array, but the line node relabels it first."""
+    doc = tmp_path / "big.json"
+    doc.write_text('{"n": 9223372036854775809, "edges": [[0, 9223372036854775808, 1], [1, 9223372036854775808, -1]]}')
+    assert run(capsys, argv[0], "--file", str(doc), *argv[1:]) == (0, want, "")
 
 
 def test_out_of_memory_exits_two(monkeypatch, capsys):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TEST_SEED, assert_multiset_close
+from referees import line_graph_by_pairs
 
 from signet.families import complete, cycle, path, random_signed_graph
 from signet.graphs import (
@@ -12,11 +15,37 @@ from signet.graphs import (
     adjacency,
     balance_report,
     degrees,
+    dumps,
     incidence,
     negate,
 )
 from signet.linegraph import line_graph
 from signet.structured import spectral_node
+
+
+def _incidence_line_adjacency(g: SignedGraph) -> np.ndarray:
+    """2I - H.T @ H, with H over the endpoints of g only: a vertex with no
+    edge gives a zero row of H, which adds nothing to H.T @ H."""
+    row = {x: i for i, x in enumerate(sorted({x for u, v, _ in g.edges for x in (u, v)}))}
+    h = np.zeros((len(row), g.m), dtype=np.int64)
+    for k, (u, v, s) in enumerate(g.edges):
+        h[row[u], k] = 1
+        h[row[v], k] = -s
+    return 2 * np.eye(g.m, dtype=np.int64) - h.T @ h
+
+
+def _assert_refereed(g: SignedGraph):
+    """The line graph of g is one edge array equal to the pair loop's graph,
+    with the same JSON text, and its adjacency is 2I - H^T H."""
+    lg = line_graph(g).graph
+    want = line_graph_by_pairs(g)
+    assert lg.from_array and lg.n == g.m
+    assert lg == want and dumps(lg) == dumps(want)
+    assert np.array_equal(adjacency(lg), _incidence_line_adjacency(g))
+
+
+def _both_forms(g: SignedGraph) -> tuple[SignedGraph, SignedGraph]:
+    return g, SignedGraph(g.n, g.edge_array.copy())
 
 
 def test_line_of_path_three_is_one_edge():
@@ -53,6 +82,10 @@ def test_matrix_identity_on_random_graphs():
         assert np.array_equal(
             adjacency(lg), 2 * np.eye(g.m, dtype=np.int64) - h.T @ h
         )
+    for _ in range(60):  # denser graphs, in both forms, against the pair loop too
+        g = random_signed_graph(rng, int(rng.integers(1, 16)), float(rng.random()))
+        for form in _both_forms(g):
+            _assert_refereed(form)
 
 
 def test_all_negative_signature_negates_the_classical_line_graph():
@@ -125,3 +158,62 @@ def test_line_of_complete_graphs():
     )
     lg3 = line_graph(complete(3, -1)).graph
     assert_multiset_close(spectral_node(lg3).adjacency, [-2.0, 1.0, 1.0])
+
+
+@st.composite
+def _sparse_signed_graphs(draw):
+    """A graph on up to 12 used vertices of an order up to 10**18, so most
+    vertices are isolated, given as triples or as an edge array."""
+    n = draw(st.one_of(st.integers(0, 14), st.integers(14, 10**18)))
+    used = sorted(draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=min(n, 12))))
+    pairs = draw(st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40))
+    edges = tuple(
+        (used[a], used[b], draw(st.sampled_from((1, -1))))
+        for a, b in sorted(pairs)
+        if a < b < len(used)
+    )
+    g = SignedGraph(n, edges)
+    return SignedGraph(n, g.edge_array.copy()) if draw(st.booleans()) else g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sparse_signed_graphs())
+def test_line_graph_matches_the_pair_loop_and_the_incidence_identity(g):
+    _assert_refereed(g)
+
+
+@pytest.mark.parametrize("d", range(41))
+def test_line_graph_of_a_star_is_a_signed_complete_graph(d):
+    """K_{1,d} with its centre in the middle of the labels: every pair of
+    edges meets there, so the line graph is K_d with C(d, 2) edges."""
+    rng = np.random.default_rng(TEST_SEED + d)
+    centre = d // 2
+    leaves = [x for x in range(d + 1) if x != centre]
+    star = SignedGraph(d + 1, tuple((min(x, centre), max(x, centre), int(s)) for x, s in zip(leaves, rng.choice((1, -1), d))))
+    for g in _both_forms(star):
+        _assert_refereed(g)
+        assert line_graph(g).graph.m == d * (d - 1) // 2
+
+
+def test_line_graph_with_no_edge_or_one_edge():
+    for g in (SignedGraph(0), SignedGraph(7), SignedGraph(2, ((0, 1, -1),)), SignedGraph(9, ((3, 8, 1),))):
+        for form in _both_forms(g):
+            _assert_refereed(form)
+            assert line_graph(form).graph.m == 0
+
+
+def test_line_graph_of_an_array_base_of_order_ten_to_the_eighteen():
+    """The work does not grow with the order: three edges on 10**18 vertices."""
+    big = 10**18
+    g = SignedGraph(big, np.array([[0, big - 1, -1], [5, 10**17, -1], [5, big - 1, 1]], dtype=np.int64))
+    _assert_refereed(g)
+    # Edges 0 and 2 meet at big - 1 (entries +1 and -1), edges 1 and 2 at 5 (+1 and +1).
+    assert dumps(line_graph(g).graph) == '{"n": 3, "edges": [[0, 2, 1], [1, 2, -1]]}'
+
+
+def test_line_graph_refuses_a_triple_base_with_an_endpoint_past_int64():
+    """Such a base has no edge array; the CLI relabels it before building."""
+    g = SignedGraph(2**63 + 1, ((0, 2**63, 1), (1, 2**63, -1)))
+    with pytest.raises(ValueError, match="past the int64 range of edge arrays"):
+        line_graph(g)
+    assert line_graph_by_pairs(g) == SignedGraph(2, ((0, 1, 1),))
