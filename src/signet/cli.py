@@ -152,9 +152,15 @@ def cmd_verify(ns) -> int:
         raise ValueError(f"unknown suite {ns.suite!r}, expected one of {sorted(SUITES)} or 'all'")
     if ns.max_size is not None and ns.max_size < 1:
         raise ValueError(f"--max must be at least 1, got {ns.max_size}")
-    seed = ns.seed
-    if seed is None and os.environ.get("SIGNET_SEED"):
-        seed = int(os.environ["SIGNET_SEED"])
+    text, source = ns.seed, "--seed"
+    if text is None and os.environ.get("SIGNET_SEED"):
+        text, source = os.environ["SIGNET_SEED"], "SIGNET_SEED"
+    try:
+        seed = None if text is None else int(text)
+        if seed is not None and seed < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{source} must be a nonnegative integer, got {text!r}") from None
     failed = False
     for name in names:
         result = run_suite(name, max_n=ns.max_size, seed=seed)
@@ -245,7 +251,8 @@ def main(argv=None) -> int:
         print(f"signet: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:
-        print(f"signet: out of memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"signet: out of memory{detail}", file=sys.stderr)
         return EXIT_INPUT
 
 

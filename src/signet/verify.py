@@ -2,8 +2,9 @@
 
 Each suite runs a batch of independent checks and reports how many ran and
 which failed.  All randomness is driven by a caller-supplied seed, so a
-given invocation is exactly reproducible.  A suite run solves each distinct
-matrix once (:class:`_Solves`).
+given invocation is exactly reproducible.  Every spectrum and energy a
+suite checks against comes from :func:`signet.structured.spectral_node` of
+the built graph, its dense leaf.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .graphs import (
 from .linegraph import line_graph
 from .oracle import rank_exact
 from .products import Basis, cartesian, kron_sum_over_basis, neps, strong_basis
-from .spectra import eigenvalues, energy_from_spectrum, laplacian_energy_from_spectrum
 from .structured import LineNode, spectral_node
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "multiset_gap"]
@@ -55,37 +55,6 @@ def _random_graph(rng, max_n: int) -> SignedGraph:
     n = int(rng.integers(1, max_n + 1))
     p = float(rng.choice([0.2, 0.5, 0.8]))
     return random_signed_graph(rng, n, p)
-
-
-class _Solves:
-    """Spectra of the graph matrices one suite run solves, each distinct
-    matrix solved once."""
-
-    def __init__(self):
-        self._seen: dict[tuple, np.ndarray] = {}
-
-    def _spectrum(self, matrix: np.ndarray) -> np.ndarray:
-        # Entries of a graph matrix lie in [-(n - 1), n - 1], so up to order
-        # 128 its int8 bytes are an exact key an eighth the size: a
-        # closed-forms run would otherwise keep 4 MB of keys.
-        data = matrix.astype(np.int8) if len(matrix) <= 128 else matrix
-        key = (matrix.shape, data.tobytes())
-        values = self._seen.get(key)
-        if values is None:
-            values = self._seen[key] = eigenvalues(matrix)
-        return values
-
-    def adjacency(self, g: SignedGraph) -> np.ndarray:
-        return self._spectrum(adjacency(g))
-
-    def laplacian(self, g: SignedGraph) -> np.ndarray:
-        return self._spectrum(laplacian(g))
-
-    def energy(self, g: SignedGraph) -> float:
-        return energy_from_spectrum(self.adjacency(g))
-
-    def laplacian_energy(self, g: SignedGraph) -> float:
-        return laplacian_energy_from_spectrum(self.laplacian(g), g.m)
 
 
 def multiset_gap(a, b) -> float:
@@ -129,10 +98,9 @@ def acharya_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Balanced iff cospectral with the all-positive underlying graph."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("acharya")
-    solve = _Solves()
     for i in range(200):
         g = _random_graph(rng, max_n)
-        same = multiset_gap(solve.adjacency(g), solve.adjacency(underlying(g))) <= 1e-8
+        same = multiset_gap(spectral_node(g).adjacency, spectral_node(underlying(g)).adjacency) <= 1e-8
         balanced = balance_report(g).balanced
         result.record(
             same == balanced,
@@ -190,14 +158,13 @@ def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
     energies; equality for the tensor basis, strict otherwise."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("energy-bounds")
-    solve = _Solves()
     for i in range(60):
         factors = _factors_with_edges(rng, max_n)
         nu = len(factors)
         basis = _random_basis(rng, nu)
         g = neps(factors, basis)
-        lhs = solve.energy(g) / g.n
-        factor_rates = [solve.energy(f) / f.n for f in factors]
+        lhs = spectral_node(g).energy / g.n
+        factor_rates = [spectral_node(f).energy / f.n for f in factors]
         rhs = sum(
             math.prod(r for r, bit in zip(factor_rates, vec) if bit)
             for vec in basis.vectors
@@ -209,8 +176,8 @@ def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
             result.record(rhs - lhs > 1e-9, f"case {i}: strictness broken ({lhs} vs {rhs})")
         if nu >= 2:
             cart = cartesian(factors)
-            l_lhs = solve.laplacian_energy(cart) / cart.n
-            l_rhs = sum(solve.laplacian_energy(f) / f.n for f in factors)
+            l_lhs = spectral_node(cart).laplacian_energy / cart.n
+            l_rhs = sum(spectral_node(f).laplacian_energy / f.n for f in factors)
             result.record(
                 l_lhs <= l_rhs + 1e-9, f"case {i}: Laplacian bound violated"
             )
@@ -255,7 +222,6 @@ def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteResult:
     """The structured family nodes that ``spectrum --family`` answers with,
     and their line-graph rules, match the dense solver within 1e-8."""
     result = SuiteResult("closed-forms")
-    solve = _Solves()
 
     def check(label, node_values, solved):
         result.record(multiset_gap(node_values, solved) <= 1e-8, f"{label}: node != solver")
@@ -265,16 +231,17 @@ def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteResult:
         node = spectral_node(spec)
         g = node.graph
         if plain:
-            check(f"{text} adjacency", node.adjacency, solve.adjacency(g))
-            check(f"{text} laplacian", node.laplacian, solve.laplacian(g))
+            dense = spectral_node(g)
+            check(f"{text} adjacency", node.adjacency, dense.adjacency)
+            check(f"{text} laplacian", node.laplacian, dense.laplacian)
         if line:
-            lg = line_graph(g).graph
+            dense = spectral_node(line_graph(g).graph)
             lined = LineNode(node)
             try:
-                check(f"line({text}) adjacency", lined.adjacency, solve.adjacency(lg))
+                check(f"line({text}) adjacency", lined.adjacency, dense.adjacency)
                 # A line Laplacian from the dense leaf would be compared with itself.
                 if line_laplacian and lined.laplacian_rule != "dense":
-                    check(f"line({text}) laplacian", lined.laplacian, solve.laplacian(lg))
+                    check(f"line({text}) laplacian", lined.laplacian, dense.laplacian)
             except ValueError as exc:
                 result.record(False, f"line({text}): the line rule refuses the node: {exc}")
     return result
@@ -284,7 +251,6 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
     """Line-graph matrix identity and spectrum reconstruction on random graphs."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("line-theorems")
-    solve = _Solves()
     for i in range(150):
         g = _random_graph(rng, max_n)
         lg = line_graph(g).graph
@@ -293,10 +259,10 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
             adjacency(lg), 2 * np.eye(g.m, dtype=np.int64) - h.T @ h
         )
         result.record(identity_ok, f"graph {i}: A(line) != 2I - H^T H")
-        rep = balance_report(g)
-        got = solve.adjacency(lg)
+        base = spectral_node(g)
+        got = spectral_node(lg).adjacency
         try:
-            expected = formulas.line_spectrum_general(solve.laplacian(g), g.m, g.n, rep.b)
+            expected = formulas.line_spectrum_general(base.laplacian, base.m, base.n, base.b)
             matched = multiset_gap(expected, got) <= 1e-8
             problem = "" if matched else "line spectrum does not match the Laplacian construction"
         except ValueError as exc:

@@ -179,6 +179,15 @@ def test_out_of_memory_exits_two(monkeypatch, capsys):
     assert err == "signet: out of memory: Unable to allocate 5.86 GiB for an array\n"
 
 
+def test_out_of_memory_without_a_message(monkeypatch, capsys):
+    def fail(factors, basis):
+        raise MemoryError()
+
+    monkeypatch.setattr("signet.products.neps", fail)
+    code, out, err = run(capsys, "product", "--family", "path:n=2", "--family", "path:n=2")
+    assert (code, out, err) == (2, "", "signet: out of memory\n")
+
+
 def _signet_command(*argv, prelude=""):
     """A fresh interpreter running ``prelude`` and then ``signet *argv``, and
     its environment."""
@@ -470,21 +479,38 @@ def test_verify_command_runs_suites(capsys):
     assert "0 failures" in out
 
 
-def test_suites_solve_each_distinct_matrix_once(monkeypatch, capsys):
-    from signet import spectra, verify
+def test_suites_solve_through_the_dense_leaf(monkeypatch, capsys):
+    from signet import spectra
 
-    solved = []
+    callers = []
+    solve = spectra.eigenvalues
 
-    def counting(matrix):
-        solved.append((matrix.shape, matrix.tobytes()))
-        return spectra.eigenvalues(matrix)
+    def recording(matrix):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return solve(matrix)
 
-    monkeypatch.setattr(verify, "eigenvalues", counting)
+    monkeypatch.setattr(spectra, "eigenvalues", recording)
     for suite in ("acharya", "closed-forms", "energy-bounds", "line-theorems"):
-        solved.clear()
+        callers.clear()
         code, out, _ = run(capsys, "verify", suite, "--max", "5", "--seed", "9")
         assert code == 0, out
-        assert solved and len(solved) == len(set(solved)), suite
+        assert callers and set(callers) == {"signet.structured"}, suite
+
+
+def test_closed_forms_suite_keeps_no_spectra_across_checks():
+    """Each check's matrices and spectra are dropped with its nodes, so the
+    peak is one check's, not the run's."""
+    import tracemalloc
+
+    from signet import verify
+
+    tracemalloc.start()
+    try:
+        assert verify.closed_forms_suite(max_n=8).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("suite, cap, orders", [("neps-matrix", 1, 1), ("neps-matrix", 3, 3), ("energy-bounds", 1, 2)])
@@ -552,6 +578,22 @@ def test_verify_honours_seed_flag(capsys):
     code_b, out_b, _ = run(capsys, "verify", "kirchhoff", "--max", "5", "--seed", "11")
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--seed", "-1"], None, "--seed must be a nonnegative integer, got -1"),
+        ([], "-5", "SIGNET_SEED must be a nonnegative integer, got '-5'"),
+        ([], "abc", "SIGNET_SEED must be a nonnegative integer, got 'abc'"),
+    ],
+)
+def test_verify_names_the_source_of_a_bad_seed(monkeypatch, capsys, argv, env, message):
+    if env is None:
+        monkeypatch.delenv("SIGNET_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SIGNET_SEED", env)
+    assert run(capsys, "verify", "kirchhoff", "--max", "3", *argv) == (2, "", f"signet: {message}\n")
 
 
 def test_verify_reads_seed_from_environment(monkeypatch, capsys):
