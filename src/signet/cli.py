@@ -27,7 +27,7 @@ import numpy as np
 
 from .families import parse_family
 from .graphs import adjacency, dumps, laplacian_from_adjacency, loads, to_json_dict
-from .products import Basis, cartesian_basis, p_sum_basis, strong_basis
+from .products import Basis, cartesian_basis, p_sum_basis, tensor_basis
 from .spectra import EigensolverError
 from .structured import LineNode, ProductNode, SpectralNode, spectral_node
 from .verify import SUITES, run_suite
@@ -59,8 +59,8 @@ def _emit(text: str, out: str | None):
 def _parse_basis(text: str, nu: int) -> Basis:
     if text == "cartesian":
         return cartesian_basis(nu)
-    if text == "strong":
-        return strong_basis(nu)
+    if text in ("tensor", "strong"):  # strong names the tensor product until it means every pattern
+        return tensor_basis(nu)
     if text.startswith("p="):
         try:
             p = int(text[2:])
@@ -193,7 +193,7 @@ def _add_basis_flag(parser):
         "--basis",
         default="cartesian",
         metavar="BASIS",
-        help="cartesian, strong, p=<k>, or comma-separated 0/1 vectors like 10,01,11",
+        help="cartesian, tensor (strong is the same for now), p=<k>, or comma-separated 0/1 vectors like 10,01,11",
     )
 
 

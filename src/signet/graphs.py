@@ -247,8 +247,12 @@ def degree_matrix(g: SignedGraph) -> np.ndarray:
 
 
 def laplacian_from_adjacency(a: np.ndarray) -> np.ndarray:
-    """Signed Laplacian D - A from a signed adjacency matrix, D = diag(|A| 1)."""
-    return np.diag(np.abs(a).sum(axis=1)) - a
+    """Signed Laplacian D - A from a signed adjacency matrix, D = diag(|A| 1);
+    of a stack (..., n, n), one Laplacian per matrix."""
+    lap = -a
+    diagonal = np.einsum("...ii->...i", lap)  # a writeable view of each diagonal
+    diagonal += np.abs(a).sum(axis=-1)
+    return lap
 
 
 def laplacian(g: SignedGraph) -> np.ndarray:

@@ -5,14 +5,14 @@ supports jointly cover every coordinate.  Two product vertices are adjacent
 when their coordinatewise difference pattern lies in the basis, and the edge
 sign is the product of the factor edge signs over the pattern's support.
 The unit-vector basis gives the Cartesian product, the all-ones singleton
-the tensor (strong) product, and the weight-p vectors the symmetric p-sum.
+the tensor product (which ``strong`` still names), and the weight-p vectors
+the symmetric p-sum.
 :func:`kron_sum_over_basis` builds the product adjacency as a matrix, the
 referee :func:`neps` is checked against.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -26,7 +26,7 @@ from .graphs import SignedGraph
 __all__ = [
     "Basis",
     "cartesian_basis",
-    "strong_basis",
+    "tensor_basis",
     "p_sum_basis",
     "kron_sum_over_basis",
     "neps",
@@ -73,7 +73,7 @@ def cartesian_basis(nu: int) -> Basis:
     return Basis(nu, tuple(tuple(int(i == j) for j in range(nu)) for i in range(nu)))
 
 
-def strong_basis(nu: int) -> Basis:
+def tensor_basis(nu: int) -> Basis:
     """The single all-ones pattern (tensor product)."""
     return Basis(nu, ((1,) * nu,))
 
@@ -106,9 +106,18 @@ def kron_sum_over_basis(mats: Sequence, basis: Basis) -> np.ndarray:
     if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in arrays):
         raise ValueError("all matrices must be square")
     return sum(
-        functools.reduce(np.kron, [a if bit else np.eye(len(a), dtype=a.dtype) for a, bit in zip(arrays, vec)])
-        for vec in basis.vectors
+        _kron([a if bit else np.eye(len(a), dtype=a.dtype) for a, bit in zip(arrays, vec)]) for vec in basis.vectors
     )
+
+
+def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.kron`` of the square matrices in order, each step one broadcast
+    product (a fraction of ``np.kron``'s cost on small factors)."""
+    out = factors[0]
+    for b in factors[1:]:
+        size = len(out) * len(b)
+        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +195,7 @@ def cartesian(factors: Sequence[SignedGraph]) -> SignedGraph:
 
 
 def strong(factors: Sequence[SignedGraph]) -> SignedGraph:
-    return neps(factors, strong_basis(len(list(factors))))
+    return neps(factors, tensor_basis(len(list(factors))))
 
 
 def symmetric_p(factors: Sequence[SignedGraph], p: int) -> SignedGraph:

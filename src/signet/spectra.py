@@ -2,8 +2,11 @@
 
 A spectrum is a sorted float64 array.  Eigenvalues come from LAPACK through
 :func:`numpy.linalg.eigvalsh`; a LAPACK failure is raised as
-:class:`EigensolverError`.  The tests pit it against an independent
-pure-Python Householder + QL solver, which is not part of the package.
+:class:`EigensolverError`.  A stack of matrices of one order, shape
+(..., n, n), is solved in one call, one sorted row per matrix; each row
+equals the matrix solved alone, bit for bit, as the tests check.  The
+tests also pit the solver against an independent pure-Python Householder +
+QL solver, which is not part of the package.
 Energies are computed from a spectrum, so a caller that already holds one
 does not solve again.  Built graphs reach this module through
 :class:`signet.structured.DenseNode`.
@@ -28,11 +31,12 @@ class EigensolverError(RuntimeError):
 
 
 def eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, sorted ascending."""
+    """All eigenvalues of a real symmetric matrix, sorted ascending; of a
+    stack (..., n, n), one sorted row per matrix."""
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ValueError("matrix is not symmetric")
     try:
         return np.linalg.eigvalsh(a)

@@ -24,7 +24,8 @@ on first use, bottom-up, by the cheapest exact rule:
 - **dense leaf**: LAPACK on a built graph, and the balance sweep of
   :func:`signet.graphs.balance_report`.  Only dense leaves solve, and
   :class:`DenseNode` is the one route from a built graph to its spectra and
-  energies.
+  energies; :meth:`DenseNode.solve_all` solves many dense leaves in stacks,
+  one LAPACK call per order and kind.
 
 A Laplacian that no rule above gives is k - lambda over a k-regular graph
 (L = kI - A: cycles, complete graphs, regular products, line graphs of
@@ -179,6 +180,26 @@ class DenseNode(SpectralNode):
     def laplacian(self) -> np.ndarray:
         return spectra.eigenvalues(graphs.laplacian_from_adjacency(self._matrix))
 
+    @staticmethod
+    def solve_all(adjacency: Iterable[DenseNode] = (), laplacian: Iterable[DenseNode] = ()) -> None:
+        """Fill the ``adjacency`` fields of the first nodes and the
+        ``laplacian`` fields of the second with one stacked LAPACK call per
+        order and kind.  A field already known is not solved again, and no
+        other field is solved."""
+        for kind, nodes in (("adjacency", adjacency), ("laplacian", laplacian)):
+            by_order: dict[int, dict[int, DenseNode]] = {}
+            for node in nodes:
+                if kind not in vars(node):
+                    by_order.setdefault(node.n, {})[id(node)] = node
+            for group in by_order.values():
+                matrices = [node._matrix for node in group.values()]
+                # A lone matrix is solved as a view: no copy of the largest orders.
+                stack = matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
+                if kind == "laplacian":
+                    stack = graphs.laplacian_from_adjacency(stack)
+                for node, values in zip(group.values(), spectra.eigenvalues(stack)):
+                    setattr(node, kind, values)
+
     @graphs.lazy_field
     def _degrees(self) -> list[int]:
         return graphs.degrees(self.graph).tolist()
@@ -288,11 +309,20 @@ def line_balance(components: Iterable[tuple[int, bool, bool, int]]) -> tuple[int
 
 def _without_isolated(g: graphs.SignedGraph) -> graphs.SignedGraph:
     """g with its isolated vertices dropped and the others relabelled in
-    order, which keeps the edge order; g itself when it has none."""
-    index = {x: i for i, x in enumerate(sorted({x for u, v, _ in g.edges for x in (u, v)}))}
-    if len(index) == g.n:
+    order, which keeps the edge order; g itself when it has none.  The
+    relabelled graph is an edge array, unless an endpoint of g is past the
+    int64 range."""
+    try:
+        edges = g.edge_array
+    except ValueError:
+        index = {x: i for i, x in enumerate(sorted({x for u, v, _ in g.edges for x in (u, v)}))}
+        if len(index) == g.n:
+            return g
+        return graphs.SignedGraph(len(index), tuple((index[u], index[v], s) for u, v, s in g.edges))
+    ends = np.unique(edges[:, :2])
+    if len(ends) == g.n:
         return g
-    return graphs.SignedGraph(len(index), tuple((index[u], index[v], s) for u, v, s in g.edges))
+    return graphs.SignedGraph(len(ends), np.column_stack((np.searchsorted(ends, edges[:, :2]), edges[:, 2])))
 
 
 class LineNode(SpectralNode):

@@ -5,6 +5,11 @@ which failed.  All randomness is driven by a caller-supplied seed, so a
 given invocation is exactly reproducible.  Every spectrum and energy a
 suite checks against comes from :func:`signet.structured.spectral_node` of
 the built graph, its dense leaf.
+
+The suites that solve build their cases in order, with the same draws as one
+case at a time, and check them in batches whose dense fields
+:meth:`DenseNode.solve_all` first fills, one LAPACK call per order and kind.
+A budget of matrix entries, not of cases, bounds a batch at any ``--max``.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ from .graphs import (
 )
 from .linegraph import line_graph
 from .oracle import rank_exact
-from .products import Basis, cartesian, kron_sum_over_basis, neps, strong_basis
-from .structured import LineNode, spectral_node
+from .products import Basis, cartesian, kron_sum_over_basis, neps, tensor_basis
+from .structured import DenseNode, LineNode, spectral_node
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "multiset_gap"]
 
 DEFAULT_SEED = 0x9E3779B97F4A7C15
+
+_BATCH_ENTRIES = 2**15  # matrix entries a batch of cases gathers before its stacked solve
 
 
 @dataclass
@@ -67,6 +74,24 @@ def multiset_gap(a, b) -> float:
     return float(np.abs(a - b).max(initial=0.0))
 
 
+def _solved_in_batches(cases):
+    """The payloads of ``(adjacency nodes, Laplacian nodes, payload)`` cases,
+    in order, each yielded once its batch's dense fields are solved; a batch
+    closes once those fields hold ``_BATCH_ENTRIES`` matrix entries."""
+    batch, adjacency, laplacian, entries = [], [], [], 0
+    for adj, lap, payload in cases:
+        batch.append(payload)
+        adjacency += adj
+        laplacian += lap
+        entries += sum(node.n**2 for node in (*adj, *lap))
+        if entries >= _BATCH_ENTRIES:
+            DenseNode.solve_all(adjacency, laplacian)
+            yield from batch
+            batch, adjacency, laplacian, entries = [], [], [], 0
+    DenseNode.solve_all(adjacency, laplacian)
+    yield from batch
+
+
 def kirchhoff_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """incidence @ incidence.T equals the Laplacian, exactly, in integers."""
     rng = np.random.default_rng(seed)
@@ -98,9 +123,15 @@ def acharya_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Balanced iff cospectral with the all-positive underlying graph."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("acharya")
-    for i in range(200):
-        g = _random_graph(rng, max_n)
-        same = multiset_gap(spectral_node(g).adjacency, spectral_node(underlying(g)).adjacency) <= 1e-8
+
+    def cases():
+        for i in range(200):
+            g = _random_graph(rng, max_n)
+            signed, plain = spectral_node(g), spectral_node(underlying(g))
+            yield (signed, plain), (), (i, g, signed, plain)
+
+    for i, g, signed, plain in _solved_in_batches(cases()):
+        same = multiset_gap(signed.adjacency, plain.adjacency) <= 1e-8
         balanced = balance_report(g).balanced
         result.record(
             same == balanced,
@@ -158,26 +189,31 @@ def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
     energies; equality for the tensor basis, strict otherwise."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("energy-bounds")
-    for i in range(60):
-        factors = _factors_with_edges(rng, max_n)
+
+    def cases():
+        for i in range(60):
+            factors = _factors_with_edges(rng, max_n)
+            basis = _random_basis(rng, len(factors))
+            product, nodes = spectral_node(neps(factors, basis)), [spectral_node(f) for f in factors]
+            cart = spectral_node(cartesian(factors)) if len(factors) >= 2 else None
+            yield (product, *nodes), (cart, *nodes) if cart is not None else (), (i, basis, product, nodes, cart)
+
+    for i, basis, product, factors, cart in _solved_in_batches(cases()):
         nu = len(factors)
-        basis = _random_basis(rng, nu)
-        g = neps(factors, basis)
-        lhs = spectral_node(g).energy / g.n
-        factor_rates = [spectral_node(f).energy / f.n for f in factors]
+        lhs = product.energy / product.n
+        factor_rates = [f.energy / f.n for f in factors]
         rhs = sum(
             math.prod(r for r, bit in zip(factor_rates, vec) if bit)
             for vec in basis.vectors
         )
         result.record(lhs <= rhs + 1e-9, f"case {i}: bound violated ({lhs} > {rhs})")
-        if basis == strong_basis(nu):
+        if basis == tensor_basis(nu):
             result.record(abs(lhs - rhs) <= 1e-8, f"case {i}: tensor equality broken")
         elif len(basis.vectors) > 1:
             result.record(rhs - lhs > 1e-9, f"case {i}: strictness broken ({lhs} vs {rhs})")
-        if nu >= 2:
-            cart = cartesian(factors)
-            l_lhs = spectral_node(cart).laplacian_energy / cart.n
-            l_rhs = sum(spectral_node(f).laplacian_energy / f.n for f in factors)
+        if cart is not None:
+            l_lhs = cart.laplacian_energy / cart.n
+            l_rhs = sum(f.laplacian_energy / f.n for f in factors)
             result.record(
                 l_lhs <= l_rhs + 1e-9, f"case {i}: Laplacian bound violated"
             )
@@ -226,22 +262,28 @@ def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteResult:
     def check(label, node_values, solved):
         result.record(multiset_gap(node_values, solved) <= 1e-8, f"{label}: node != solver")
 
-    for text, plain, line, line_laplacian in _closed_form_cases(max_n):
-        spec = parse_family(text)
-        node = spectral_node(spec)
-        g = node.graph
-        if plain:
-            dense = spectral_node(g)
+    def cases():
+        for text, plain, line, line_laplacian in _closed_form_cases(max_n):
+            node = spectral_node(parse_family(text))
+            g = node.graph
+            dense = spectral_node(g) if plain else None
+            lined = LineNode(node) if line else None
+            dense_line = spectral_node(line_graph(g).graph) if line else None
+            # A line Laplacian from the dense leaf would be compared with itself.
+            line_laplacian = line_laplacian and line and lined.laplacian_rule != "dense"
+            adjacency = [x for x in (dense, dense_line) if x is not None]
+            laplacian = [dense] * plain + [dense_line] * line_laplacian
+            yield adjacency, laplacian, (text, node, dense, lined, dense_line, line_laplacian)
+
+    for text, node, dense, lined, dense_line, line_laplacian in _solved_in_batches(cases()):
+        if dense is not None:
             check(f"{text} adjacency", node.adjacency, dense.adjacency)
             check(f"{text} laplacian", node.laplacian, dense.laplacian)
-        if line:
-            dense = spectral_node(line_graph(g).graph)
-            lined = LineNode(node)
+        if lined is not None:
             try:
-                check(f"line({text}) adjacency", lined.adjacency, dense.adjacency)
-                # A line Laplacian from the dense leaf would be compared with itself.
-                if line_laplacian and lined.laplacian_rule != "dense":
-                    check(f"line({text}) laplacian", lined.laplacian, dense.laplacian)
+                check(f"line({text}) adjacency", lined.adjacency, dense_line.adjacency)
+                if line_laplacian:
+                    check(f"line({text}) laplacian", lined.laplacian, dense_line.laplacian)
             except ValueError as exc:
                 result.record(False, f"line({text}): the line rule refuses the node: {exc}")
     return result
@@ -251,16 +293,21 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
     """Line-graph matrix identity and spectrum reconstruction on random graphs."""
     rng = np.random.default_rng(seed)
     result = SuiteResult("line-theorems")
-    for i in range(150):
-        g = _random_graph(rng, max_n)
-        lg = line_graph(g).graph
+
+    def cases():
+        for i in range(150):
+            g = _random_graph(rng, max_n)
+            lg = line_graph(g).graph
+            base, lined = spectral_node(g), spectral_node(lg)
+            yield (lined,), (base,), (i, g, lg, base, lined)
+
+    for i, g, lg, base, lined in _solved_in_batches(cases()):
         h = incidence(g)
         identity_ok = np.array_equal(
             adjacency(lg), 2 * np.eye(g.m, dtype=np.int64) - h.T @ h
         )
         result.record(identity_ok, f"graph {i}: A(line) != 2I - H^T H")
-        base = spectral_node(g)
-        got = spectral_node(lg).adjacency
+        got = lined.adjacency
         try:
             expected = formulas.line_spectrum_general(base.laplacian, base.m, base.n, base.b)
             matched = multiset_gap(expected, got) <= 1e-8

@@ -35,7 +35,7 @@ from signet.graphs import (
 )
 from signet.linegraph import line_graph
 from signet.oracle import rank_exact
-from signet.products import Basis, cartesian, kron_sum_over_basis, neps, strong_basis
+from signet.products import Basis, cartesian, kron_sum_over_basis, neps, tensor_basis
 from signet.structured import spectral_node
 from signet.verify import multiset_gap
 
@@ -259,7 +259,7 @@ def test_criterion_07_energy_bounds():
         lhs = spectral_node(g).energy / g.n
         if lhs > rhs + 1e-9:
             failures.append(f"case {cases}: bound violated")
-        if basis == strong_basis(nu) and abs(lhs - rhs) > 1e-8:
+        if basis == tensor_basis(nu) and abs(lhs - rhs) > 1e-8:
             failures.append(f"case {cases}: tensor equality violated")
         if len(basis.vectors) > 1 and rhs - lhs <= 1e-9:
             failures.append(f"case {cases}: strictness violated ({lhs} vs {rhs})")

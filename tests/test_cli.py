@@ -20,7 +20,7 @@ from signet.cli import _report, main
 from signet.families import complete, cycle, grid, parse_family, path, random_signed_graph
 from signet.graphs import adjacency, degree_matrix, dumps, laplacian, loads, to_json_dict
 from signet.linegraph import line_graph
-from signet.products import Basis, cartesian_basis, neps, p_sum_basis, strong_basis
+from signet.products import Basis, cartesian_basis, neps, p_sum_basis, tensor_basis
 from signet.structured import spectral_node
 
 
@@ -264,6 +264,13 @@ def test_product_custom_basis_equals_strong(capsys):
     assert out_a == out_b
 
 
+def test_product_tensor_basis_equals_11_and_strong(capsys):
+    args = ["product", "--family", "cycle:n=4,r=1", "--family", "path:n=3,r=1", "--matrix", "--basis"]
+    outputs = {basis: run(capsys, *args, basis) for basis in ("tensor", "11", "strong")}
+    assert outputs["tensor"][0] == 0
+    assert outputs["tensor"] == outputs["11"] == outputs["strong"]
+
+
 def test_product_p1_equals_cartesian_byte_identical(capsys):
     args = ["product", "--family", "cycle:n=4,r=1", "--family", "path:n=3"]
     code_a, out_a, _ = run(capsys, *args, "--basis", "p=1")
@@ -332,7 +339,7 @@ def _inputs(factors, tmp_path):
     "factors, basis, want",
     [
         (["grid:m=2,r1=1,n=3", "torus:m=3,n=3,r2=1"], "cartesian", cartesian_basis(2)),
-        (["cylinder:m=3,r1=1,n=2,r2=1", FILE], "strong", strong_basis(2)),
+        (["cylinder:m=3,r1=1,n=2,r2=1", FILE], "strong", tensor_basis(2)),
         (["grid:m=2,n=2,r2=1", FILE, "cylinder:m=3,n=2"], "p=2", p_sum_basis(3, 2)),
         ([FILE, "torus:m=3,r1=1,n=4", "complete:n=3,sign=-"], "011,100", Basis(3, ((0, 1, 1), (1, 0, 0)))),
     ],
@@ -495,6 +502,35 @@ def test_suites_solve_through_the_dense_leaf(monkeypatch, capsys):
         code, out, _ = run(capsys, "verify", suite, "--max", "5", "--seed", "9")
         assert code == 0, out
         assert callers and set(callers) == {"signet.structured"}, suite
+
+
+@pytest.mark.parametrize(
+    "suite, seed, checks, matrices",
+    [
+        ("closed-forms", None, 880, 884),
+        ("acharya", 9, 200, 400),
+        ("line-theorems", 9, 489, 300),
+        ("energy-bounds", 9, 182, 258),
+    ],
+)
+def test_suites_solve_each_matrix_once_in_stacks(monkeypatch, suite, seed, checks, matrices):
+    """The suites draw the same cases and solve the same matrices as one
+    solve per matrix did, in far fewer LAPACK calls."""
+    from signet import spectra, verify
+
+    calls, rows = [], []
+    solve = spectra.eigenvalues
+
+    def recording(matrix):
+        calls.append(1)
+        rows.append(math.prod(np.shape(matrix)[:-2]))
+        return solve(matrix)
+
+    monkeypatch.setattr(spectra, "eigenvalues", recording)
+    result = verify.run_suite(suite, seed=seed)
+    assert (result.checks, result.failures) == (checks, [])
+    assert sum(rows) == matrices
+    assert 4 * len(calls) <= matrices
 
 
 def test_closed_forms_suite_keeps_no_spectra_across_checks():

@@ -26,6 +26,7 @@ from signet.graphs import (
     from_json_dict,
     incidence,
     laplacian,
+    laplacian_from_adjacency,
     loads,
     negate,
     switch,
@@ -225,6 +226,18 @@ def test_laplacian_of_signed_path_matrix_form():
             corner[n - 1, n - 1] = 1
             expected = 2 * np.eye(n, dtype=np.int64) - corner - adjacency(g)
             assert np.array_equal(laplacian(g), expected)
+
+
+def test_laplacian_of_a_stack_is_each_matrix_laplacian():
+    rng = np.random.default_rng(TEST_SEED + 9)
+    for n in (0, 1, 6):
+        graphs = [random_signed_graph(rng, n, 0.5) for _ in range(4)]
+        stack = np.stack([adjacency(g) for g in graphs])
+        want = np.stack([laplacian(g) for g in graphs])
+        for mats in (stack, np.swapaxes(stack, -1, -2), np.asfortranarray(stack)):
+            got = laplacian_from_adjacency(mats)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert np.array_equal(laplacian_from_adjacency(mats[1]), want[1])
 
 
 def test_incidence_column_convention():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -22,8 +23,8 @@ from signet.products import (
     neps,
     p_sum_basis,
     strong,
-    strong_basis,
     symmetric_p,
+    tensor_basis,
 )
 from signet.spectra import eigenvalues
 from signet.structured import LeafNode, ProductNode, spectral_node
@@ -65,7 +66,7 @@ def test_basis_validation():
 
 def test_standard_bases():
     assert cartesian_basis(2).vectors == ((0, 1), (1, 0))
-    assert strong_basis(3).vectors == ((1, 1, 1),)
+    assert tensor_basis(3).vectors == ((1, 1, 1),)
     assert p_sum_basis(3, 2).vectors == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     assert p_sum_basis(2, 1) == cartesian_basis(2)
     with pytest.raises(ValueError):
@@ -105,8 +106,23 @@ def test_kron_sum_cartesian_two_factors():
 def test_kron_sum_strong_basis_is_plain_kron():
     a1 = adjacency(path(2, 0)).astype(float)
     a2 = adjacency(path(3, 1)).astype(float)
-    got = kron_sum_over_basis([a1, a2], strong_basis(2))
+    got = kron_sum_over_basis([a1, a2], tensor_basis(2))
     assert np.array_equal(got, np.kron(a1, a2))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, float])
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_kron_sum_equals_the_np_kron_reduction(order, dtype):
+    rng = np.random.default_rng(TEST_SEED + order)
+    for nu in (1, 2, 3):
+        mats = [adjacency(random_signed_graph(rng, order if i == nu // 2 else 3, 0.6)).astype(dtype) for i in range(nu)]
+        for basis in (cartesian_basis(nu), tensor_basis(nu), p_sum_basis(nu, (nu + 1) // 2)):
+            want = sum(
+                functools.reduce(np.kron, [a if bit else np.eye(len(a), dtype=dtype) for a, bit in zip(mats, vec)])
+                for vec in basis.vectors
+            )
+            got = kron_sum_over_basis(mats, basis)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (order, nu, basis)
 
 
 # --- NEPS -------------------------------------------------------------------
@@ -141,7 +157,7 @@ def test_neps_matches_kronecker_formula():
 @pytest.mark.parametrize(
     "orders, basis, p",
     [
-        ((8, 8, 8), strong_basis(3), 1.0),  # signed K_8 strong cube, order 512
+        ((8, 8, 8), tensor_basis(3), 1.0),  # signed K_8 strong cube, order 512
         ((6, 6, 5), p_sum_basis(3, 2), 0.6),
         ((5, 5, 5), p_sum_basis(3, 2), 0.6),
         ((12, 9), Basis(2, ((1, 0), (0, 1), (1, 1))), 0.6),
@@ -172,7 +188,7 @@ def test_neps_matches_kronecker_formula_at_larger_orders(orders, basis, p):
 )
 def test_neps_with_edgeless_and_single_vertex_factors(factors):
     nu = len(factors)
-    bases = [cartesian_basis(nu), strong_basis(nu)]
+    bases = [cartesian_basis(nu), tensor_basis(nu)]
     bases.append(Basis(nu, tuple(v for v in itertools.product((0, 1), repeat=nu) if any(v))))
     for basis in bases:
         g = neps(factors, basis)
@@ -187,8 +203,8 @@ def test_neps_order_limits():
     # Flat indices are int64, so a larger product order is refused rather than wrapped.
     big = SignedGraph(2**22, ((0, 1, -1),))
     with pytest.raises(ValueError, match="exceeds the int64 range"):
-        neps([big, big, big], strong_basis(3))
-    assert neps([big, big], strong_basis(2)).edges == ((0, 2**22 + 1, 1), (1, 2**22, 1))
+        neps([big, big, big], tensor_basis(3))
+    assert neps([big, big], tensor_basis(2)).edges == ((0, 2**22 + 1, 1), (1, 2**22, 1))
 
 
 def test_neps_hands_the_constructor_sorted_edges(monkeypatch):

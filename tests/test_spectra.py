@@ -42,6 +42,39 @@ def test_input_validation():
         eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def _symmetric_stack(rng, k, n):
+    upper = np.triu(rng.integers(-1, 2, size=(k, n, n)), 1)
+    return upper + np.swapaxes(upper, -1, -2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 36, 72])
+def test_a_stack_solves_as_its_matrices_alone(n):
+    rng = np.random.default_rng(TEST_SEED + 3 + n)
+    stack = _symmetric_stack(rng, 6, n)
+    laplacians = np.abs(stack).sum(axis=-1)[..., None] * np.eye(n, dtype=np.int64) - stack
+    for mats in (stack, laplacians, stack.astype(float)):
+        got = eigenvalues(mats)
+        assert got.shape == (6, n)
+        for row, matrix in zip(got, mats):
+            assert np.array_equal(row, eigenvalues(matrix))
+
+
+def test_an_empty_stack_solves_to_no_rows():
+    for n in (0, 3):
+        assert eigenvalues(np.zeros((0, n, n))).shape == (0, n)
+
+
+def test_stack_validation_keeps_the_messages():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4, 2, 3\)$"):
+        eigenvalues(np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(3,\)$"):
+        eigenvalues(np.zeros(3))
+    stack = np.zeros((3, 2, 2))
+    stack[2, 0, 1] = 1.0  # one matrix of the stack is not symmetric
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+        eigenvalues(stack)
+
+
 def test_complete_graph_spectrum():
     for n in range(2, 9):
         vals = spectral_node(complete(n, 1)).adjacency

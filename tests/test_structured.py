@@ -114,6 +114,48 @@ def test_line_of_file_equals_dense_route_on_corpus(corpus):
         assert spectral_node(g).components == tuple(_component_data(g)), f"graph {i}"
 
 
+@pytest.mark.parametrize("n", [4, 40])
+def test_line_of_a_file_keeps_every_graph_an_edge_array(n):
+    """A base read as an edge array, with or without isolated vertices, is
+    relabelled and lined without deriving the edge triples of any graph."""
+    text = dumps(SignedGraph(n, ((0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, -1), (1, 3, 1))))
+    g = loads(text)
+    node = spectral_node(g, line=True)
+    lg = node.graph
+    assert (node.base.graph is g) == (n == 4)
+    for graph in (g, node.base.graph, lg):
+        assert graph.from_array and "edges" not in vars(graph)
+    assert lg == line_graph(SignedGraph(4, g.edges)).graph
+
+
+def test_solve_all_fills_only_the_fields_asked_for(monkeypatch):
+    from signet import spectra
+    from signet.structured import DenseNode
+
+    rng = np.random.default_rng(TEST_SEED + 72)
+    graphs = [random_signed_graph(rng, n, 0.5) for n in (0, 1, 3, 3, 5, 3, 5)]
+    alone = [(spectral_node(g).adjacency, spectral_node(g).laplacian) for g in graphs]
+    nodes = [DenseNode(g) for g in graphs]
+    known = nodes[2].adjacency
+    shapes = []
+    solve = spectra.eigenvalues
+
+    def recording(matrix):
+        shapes.append(np.shape(matrix))
+        return solve(matrix)
+
+    monkeypatch.setattr(spectra, "eigenvalues", recording)
+    DenseNode.solve_all(adjacency=nodes + nodes[:3], laplacian=nodes[4:])
+    # One call per (order, kind); node 2's adjacency is known, and a node listed twice is solved once.
+    assert sorted(shapes) == [(1, 0, 0), (1, 1, 1), (1, 3, 3), (2, 3, 3), (2, 5, 5), (2, 5, 5)]
+    assert nodes[2].adjacency is known
+    for node, (adjacency, _) in zip(nodes, alone):
+        assert np.array_equal(node.adjacency, adjacency)
+    assert all("laplacian" not in vars(node) for node in nodes[:4])
+    for node, (_, laplacian) in zip(nodes[4:], alone[4:]):
+        assert np.array_equal(node.laplacian, laplacian)
+
+
 def test_line_of_path_is_the_path_leaf():
     for n in range(1, 65):
         for r in range(n):

@@ -140,7 +140,7 @@ def test_public_names_resolve(tracer_module):
             "energy",
             "laplacian_energy",
         },
-        "signet.products": {"ProductVertexMap", "kron", "neps_degree_matrix", "average_degree"},
+        "signet.products": {"ProductVertexMap", "kron", "neps_degree_matrix", "average_degree", "strong_basis"},
         "signet.structured": {
             "leaf_node",
             "dense_node",
