@@ -8,6 +8,7 @@ the parities of the r values affect spectra and balance.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -99,13 +100,23 @@ def torus(m: int, r1: int, n: int, r2: int) -> SignedGraph:
 
 
 def random_signed_graph(rng, n: int, p: float) -> SignedGraph:
-    """Seeded uniform model: each pair is an edge with probability p,
-    each edge sign uniform.  Used by the test corpus and verify suites."""
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v, 1 if rng.random() < 0.5 else -1))
+    """Seeded uniform model: each pair u < v, in lexicographic order, is an
+    edge when a double falls below p, and is then positive when the next one
+    falls below 0.5.  The stream is one ``rng.random()`` per decision, drawn
+    in blocks: ``rng.random(k)`` with k the doubles still certain to be used
+    (the pairs left, plus one when a sign is due), so no call draws past the
+    last decision, whatever the bit generator.  Used by the test corpus and
+    the verify suites."""
+    pairs = list(itertools.combinations(range(n), 2))
+    edges, i, due = [], 0, None
+    while i < len(pairs) or due:
+        for x in rng.random(len(pairs) - i + (due is not None)).tolist():
+            if due:
+                edges.append((*due, 1 if x < 0.5 else -1))
+                due = None
+            else:
+                due = pairs[i] if x < p else None
+                i += 1
     return SignedGraph(n, tuple(edges))
 
 

@@ -5,8 +5,8 @@ supports jointly cover every coordinate.  Two product vertices are adjacent
 when their coordinatewise difference pattern lies in the basis, and the edge
 sign is the product of the factor edge signs over the pattern's support.
 The unit-vector basis gives the Cartesian product, the all-ones singleton
-the tensor product (which ``strong`` still names), and the weight-p vectors
-the symmetric p-sum.
+the tensor product (which ``--basis strong`` still names), and the weight-p
+vectors the symmetric p-sum.
 :func:`kron_sum_over_basis` builds the product adjacency as a matrix, the
 referee :func:`neps` is checked against.
 """
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import SignedGraph
+from .graphs import _INT64_MAX, SignedGraph
 
 __all__ = [
     "Basis",
@@ -31,8 +31,6 @@ __all__ = [
     "kron_sum_over_basis",
     "neps",
     "cartesian",
-    "strong",
-    "symmetric_p",
 ]
 
 
@@ -125,39 +123,30 @@ def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_moves(g: SignedGraph):
-    """A factor's moves as ``(src, dst, sign)`` arrays.
-
-    Three moves: every edge once with ``src < dst``, every edge in both
-    directions, and the identity ``(w, w, +1)``.
-    """
-    src, dst, sign = g.edge_array.T
-    stay = np.arange(g.n, dtype=np.int64)
-    return (
-        (src, dst, sign),
-        (np.concatenate((src, dst)), np.concatenate((dst, src)), np.concatenate((sign, sign))),
-        (stay, stay, np.ones(g.n, dtype=np.int64)),
-    )
-
-
 def neps(factors: Sequence[SignedGraph], basis: Basis) -> SignedGraph:
     """General basis-parameterised product of signed graphs.
 
     Product vertex (j_1, .., j_nu) has the row-major flat index
-    ((j_1 * n_2 + j_2) * n_3 + ...) * n_nu + j_nu, the index order of
-    chained Kronecker products, so the edges of one pattern are the nonzero
-    upper-triangle entries of its Kronecker term.  They are generated by
-    index arithmetic, one broadcast per factor extending the flat endpoints
-    and the sign product: a factor outside the pattern's support contributes
-    the identity ``(w, w, +1)``, a factor inside it its edges.  The first support
-    coordinate is the first where the endpoints differ, so it alone decides
-    which flat index is smaller; that factor contributes each edge once with
-    ``src < dst`` and the later ones each edge in both directions, which
-    yields every product edge once with ``u < v``.  Distinct patterns
+    sum_i j_i * stride_i, with stride_i = n_{i+1} * .. * n_nu, the index
+    order of chained Kronecker products, so the edges of one pattern are the
+    nonzero upper-triangle entries of its Kronecker term.  They are generated
+    by index arithmetic on each factor's moves, scaled by its stride and
+    built once, when a pattern first uses them: the identity
+    ``arange(n_i) * stride_i`` for a factor outside the pattern's support,
+    its edges for a factor inside it.  The first support coordinate is the
+    first where the endpoints differ, so it alone decides which flat index
+    is smaller; that factor contributes each edge once with ``src < dst``
+    and the later ones each edge in both directions, which yields every
+    product edge once with ``u < v``.  Per pattern, the factors before the
+    lead give one flat prefix shared by both endpoints, the lead's edges and
+    signs are laid over it (signs tiled), and each later factor takes one
+    ``np.add.outer`` per endpoint and one ``np.multiply.outer`` (an edge
+    factor) or ``np.repeat`` (an identity) for the signs.  Distinct patterns
     produce disjoint edge sets, so the patterns are concatenated without
-    deduplication (the graph constructor would reject any collision),
-    sorted once into canonical order and handed to the constructor as one
-    (m, 3) int64 array.
+    deduplication (the graph constructor would reject any collision), sorted
+    once into canonical order and handed to the constructor as one (m, 3)
+    int64 array, the transpose of a (3, m) buffer, so that each column is
+    contiguous.
     """
     factors = list(factors)
     if not factors:
@@ -165,38 +154,55 @@ def neps(factors: Sequence[SignedGraph], basis: Basis) -> SignedGraph:
     if basis.nu != len(factors):
         raise ValueError(f"basis arity {basis.nu} does not match {len(factors)} factors")
     n = math.prod(f.n for f in factors)
-    if n > np.iinfo(np.int64).max:
+    if n > _INT64_MAX:
         raise ValueError(f"product order {n} exceeds the int64 range of flat vertex indices")
-    moves = [_coordinate_moves(f) for f in factors]
+    # Derived before any pattern is skipped, so an endpoint past int64 is refused.
+    edges = [f.edge_array.T for f in factors]
+    built = {}
+
+    def moves(i: int, kind: str):
+        """Factor i's (src, dst, sign) scaled by its stride: "stay" the
+        identity (sign None, all +1), "once" each edge with src < dst,
+        "both" each edge in both directions."""
+        if (i, kind) not in built:
+            stride = math.prod(f.n for f in factors[i + 1 :])
+            src, dst, sign = edges[i]
+            if kind == "stay":
+                src = dst = np.arange(factors[i].n, dtype=np.int64) * stride
+                sign = None
+            elif kind == "both":
+                src, dst, sign = np.concatenate((src, dst)), np.concatenate((dst, src)), np.tile(sign, 2)
+            if kind != "stay":
+                src, dst = src * stride, dst * stride
+            built[i, kind] = src, dst, sign
+        return built[i, kind]
+
     us, vs, signs = [], [], []
     for pattern in basis.vectors:
         if not all(f.m for f, bit in zip(factors, pattern) if bit):
             continue  # an edgeless factor in the support: no edges, and no arrays to build
         lead = pattern.index(1)
-        fu = fv = np.zeros(1, dtype=np.int64)
-        sg = np.ones(1, dtype=np.int64)
-        for i, (f, (forward, both, stay), bit) in enumerate(zip(factors, moves, pattern)):
-            src, dst, sign = stay if not bit else forward if i == lead else both
-            fu = (fu[:, None] * f.n + src).reshape(-1)
-            fv = (fv[:, None] * f.n + dst).reshape(-1)
-            sg = (sg[:, None] * sign).reshape(-1)
-        us.append(fu)
-        vs.append(fv)
+        u, v, sg = moves(lead, "once")
+        if lead:
+            prefix = moves(0, "stay")[0]
+            for i in range(1, lead):
+                prefix = np.add.outer(prefix, moves(i, "stay")[0]).ravel()
+            u, v = np.add.outer(prefix, u).ravel(), np.add.outer(prefix, v).ravel()
+            sg = np.repeat(sg[None], len(prefix), axis=0).ravel()
+        for i in range(lead + 1, len(factors)):
+            src, dst, sign = moves(i, "both" if pattern[i] else "stay")
+            u, v = np.add.outer(u, src).ravel(), np.add.outer(v, dst).ravel()
+            sg = np.repeat(sg, len(src)) if sign is None else np.multiply.outer(sg, sign).ravel()
+        us.append(u)
+        vs.append(v)
         signs.append(sg)
     if not us:
         return SignedGraph(n)
-    u, v, s = np.concatenate(us), np.concatenate(vs), np.concatenate(signs)
-    order = np.lexsort((v, u))
-    return SignedGraph(n, np.array((u[order], v[order], s[order])).T)
+    uvs = np.empty((3, sum(map(len, us))), dtype=np.int64)
+    for row, parts in zip(uvs, (us, vs, signs)):
+        np.concatenate(parts, out=row)
+    return SignedGraph(n, np.take(uvs, np.lexsort((uvs[1], uvs[0])), axis=1).T)
 
 
 def cartesian(factors: Sequence[SignedGraph]) -> SignedGraph:
     return neps(factors, cartesian_basis(len(list(factors))))
-
-
-def strong(factors: Sequence[SignedGraph]) -> SignedGraph:
-    return neps(factors, tensor_basis(len(list(factors))))
-
-
-def symmetric_p(factors: Sequence[SignedGraph], p: int) -> SignedGraph:
-    return neps(factors, p_sum_basis(len(list(factors)), p))

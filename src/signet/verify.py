@@ -14,6 +14,7 @@ A budget of matrix entries, not of cases, bounds a batch at any ``--max``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -60,7 +61,7 @@ class SuiteResult:
 
 def _random_graph(rng, max_n: int) -> SignedGraph:
     n = int(rng.integers(1, max_n + 1))
-    p = float(rng.choice([0.2, 0.5, 0.8]))
+    p = (0.2, 0.5, 0.8)[rng.integers(0, 3)]
     return random_signed_graph(rng, n, p)
 
 
@@ -144,15 +145,11 @@ def _random_factors(rng, max_n: int) -> list[SignedGraph]:
     """One to three random factors of orders 1..min(4, max_n)."""
     nu = int(rng.integers(1, 4))
     orders = [int(rng.integers(1, min(4, max_n) + 1)) for _ in range(nu)]
-    return [random_signed_graph(rng, n, float(rng.choice([0.3, 0.6, 0.9]))) for n in orders]
+    return [random_signed_graph(rng, n, (0.3, 0.6, 0.9)[rng.integers(0, 3)]) for n in orders]
 
 
 def _random_basis(rng, nu: int) -> Basis:
-    patterns = [
-        tuple(int(x) for x in vec)
-        for vec in np.ndindex(*([2] * nu))
-        if any(vec)
-    ]
+    patterns = [vec for vec in itertools.product((0, 1), repeat=nu) if any(vec)]
     while True:
         mask = rng.random(len(patterns)) < 0.5
         chosen = [p for p, keep in zip(patterns, mask) if keep]

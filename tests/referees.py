@@ -5,9 +5,11 @@ components come from union-find rather than the sweeps in
 :mod:`signet.graphs`, balance is decided by exhaustive cycle enumeration or
 exhaustive switching, and eigenvalues come from a pure-Python Householder
 tridiagonalisation followed by implicit-shift QL rather than the LAPACK
-routine behind :func:`signet.spectra.eigenvalues`, and line graphs come
-from a pair loop over each vertex's incident edges rather than the
-whole-array build of :func:`signet.linegraph.line_graph`.
+routine behind :func:`signet.spectra.eigenvalues`, line graphs come from
+a pair loop over each vertex's incident edges rather than the whole-array
+build of :func:`signet.linegraph.line_graph`, and random graphs come from
+one ``rng.random()`` call per decision rather than the block draws of
+:func:`signet.families.random_signed_graph`.
 """
 
 from __future__ import annotations
@@ -134,6 +136,18 @@ def line_graph_by_pairs(g: SignedGraph) -> SignedGraph:
             for f, eta_f in here[a + 1 :]:
                 edges.append((e, f, -eta_e * eta_f))
     return SignedGraph(g.m, tuple(edges))
+
+
+def random_signed_graph_by_pairs(rng, n: int, p: float) -> SignedGraph:
+    """The seeded uniform model one decision at a time: each pair u < v in
+    lexicographic order is an edge when ``rng.random() < p``, and then
+    positive when the next ``rng.random() < 0.5``."""
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.append((u, v, 1 if rng.random() < 0.5 else -1))
+    return SignedGraph(n, tuple(edges))
 
 
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import assert_multiset_close
+from conftest import TEST_SEED, assert_multiset_close
+from referees import random_signed_graph_by_pairs
 
+from signet import verify
 from signet.families import (
     FamilySpec,
     complete,
@@ -19,6 +21,7 @@ from signet.families import (
     torus,
 )
 from signet.graphs import SignedGraph, balance_report
+from signet.products import Basis
 from signet.structured import spectral_node
 
 
@@ -102,6 +105,63 @@ def test_random_generator_is_deterministic():
     b = random_signed_graph(np.random.default_rng(7), 8, 0.5)
     assert a == b
     assert random_signed_graph(np.random.default_rng(7), 0, 0.5) == SignedGraph(0)
+
+
+@pytest.mark.parametrize("p", [0, 0.2, 0.5, 0.8, 1])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+def test_block_draws_match_one_draw_per_decision(bit_generator, p):
+    """The same graph as the per-pair loop, and the generator left where that
+    loop leaves it, whatever the bit generator."""
+    for seed in range(4):
+        for n in range(13):
+            blocks = np.random.Generator(bit_generator(TEST_SEED + seed))
+            pairs = np.random.Generator(bit_generator(TEST_SEED + seed))
+            assert random_signed_graph(blocks, n, p) == random_signed_graph_by_pairs(pairs, n, p), (seed, n)
+            assert blocks.random() == pairs.random(), (seed, n)
+
+
+# The verify draws as written with ``rng.choice`` and ``np.ndindex``, on the
+# per-pair loop: the suites must draw exactly these.
+
+
+def _random_graph_by_choice(rng, max_n):
+    n = int(rng.integers(1, max_n + 1))
+    return random_signed_graph_by_pairs(rng, n, float(rng.choice([0.2, 0.5, 0.8])))
+
+
+def _random_factors_by_choice(rng, max_n):
+    nu = int(rng.integers(1, 4))
+    orders = [int(rng.integers(1, min(4, max_n) + 1)) for _ in range(nu)]
+    return [random_signed_graph_by_pairs(rng, n, float(rng.choice([0.3, 0.6, 0.9]))) for n in orders]
+
+
+def _random_basis_by_ndindex(rng, nu):
+    patterns = [tuple(int(x) for x in vec) for vec in np.ndindex(*([2] * nu)) if any(vec)]
+    while True:
+        mask = rng.random(len(patterns)) < 0.5
+        chosen = [p for p, keep in zip(patterns, mask) if keep]
+        if chosen and all(any(p[i] for p in chosen) for i in range(nu)):
+            return Basis(nu, tuple(chosen))
+
+
+def _factors_with_edges_by_choice(rng, max_n):
+    while True:
+        factors = _random_factors_by_choice(rng, max(max_n, 2))
+        if all(f.m > 0 for f in factors):
+            return factors
+
+
+def test_verify_draws_match_their_choice_and_ndindex_forms():
+    for seed in range(300):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for round_ in range(5):
+            max_n = 1 + (seed + round_) % 8
+            assert verify._random_graph(new, max_n) == _random_graph_by_choice(old, max_n)
+            assert verify._random_factors(new, max_n) == _random_factors_by_choice(old, max_n)
+            nu = 1 + round_ % 3
+            assert verify._random_basis(new, nu) == _random_basis_by_ndindex(old, nu)
+            assert verify._factors_with_edges(new, max_n) == _factors_with_edges_by_choice(old, max_n)
+        assert new.random() == old.random(), seed
 
 
 # --- family strings ---------------------------------------------------------

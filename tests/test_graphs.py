@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -34,6 +35,7 @@ from signet.graphs import (
     underlying,
 )
 from signet.structured import spectral_node
+from signet.verify import multiset_gap
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -640,3 +642,22 @@ def test_loads_agrees_with_the_json_route_near_canonical_text(g, data):
     text = data.draw(space) + json.dumps(doc) + data.draw(space)
     fast, slow = _read_both_ways(text)
     assert fast == slow
+
+
+@st.composite
+def _graphs_and_switchings(draw):
+    """A signed graph on at most 12 vertices and a +1/-1 vector on its vertices."""
+    n = draw(st.integers(0, 12))
+    signs = (draw(st.sampled_from((0, 1, -1))) for _ in range(n * (n - 1) // 2))
+    edges = tuple((u, v, s) for (u, v), s in zip(itertools.combinations(range(n), 2), signs) if s)
+    return SignedGraph(n, edges), draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_graphs_and_switchings())
+def test_switching_keeps_spectra_and_balance(case):
+    g, signs = case
+    before, after = spectral_node(g), spectral_node(switch(g, signs))
+    assert multiset_gap(before.adjacency, after.adjacency) <= 1e-9
+    assert multiset_gap(before.laplacian, after.laplacian) <= 1e-9
+    assert before.balance == after.balance  # (b, c, c_b)

@@ -1,4 +1,4 @@
-"""Kronecker sums over a basis and NEPS / Cartesian / strong / p-sum products."""
+"""Kronecker sums over a basis and NEPS, Cartesian, tensor and p-sum products."""
 
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ from signet.products import (
     kron_sum_over_basis,
     neps,
     p_sum_basis,
-    strong,
-    symmetric_p,
     tensor_basis,
 )
 from signet.spectra import eigenvalues
@@ -221,6 +219,7 @@ def test_neps_hands_the_constructor_sorted_edges(monkeypatch):
         g = neps(factors, basis)
         edges = received.pop()
         assert isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape == (g.m, 3)
+        assert edges.T.flags.c_contiguous  # each column contiguous for the constructor's checks and sort
         pairs = [tuple(e) for e in edges[:, :2].tolist()]
         assert pairs == sorted(set(pairs))  # lexsorted and distinct
         assert tuple(map(tuple, edges.tolist())) == g.edges
@@ -292,16 +291,16 @@ def test_cartesian_eigenvalues_are_sums():
 def test_tensor_product_of_two_single_edges():
     # K_2 x K_2 under the all-ones basis is a perfect matching on 4
     # vertices (two parallel diagonals), not a single edge.
-    got = strong([path(2, 0), path(2, 0)])
+    got = neps([path(2, 0), path(2, 0)], tensor_basis(2))
     assert got == SignedGraph(4, ((0, 3, 1), (1, 2, 1)))
 
 
 def test_symmetric_p_one_is_cartesian():
     rng = np.random.default_rng(TEST_SEED + 6)
     factors = [random_signed_graph(rng, 3, 0.6) for _ in range(3)]
-    assert symmetric_p(factors, 1) == cartesian(factors)
+    assert neps(factors, p_sum_basis(3, 1)) == cartesian(factors)
     with pytest.raises(ValueError):
-        symmetric_p(factors, 4)
+        p_sum_basis(3, 4)
 
 
 def test_negation_law_for_p_sums():
@@ -310,8 +309,8 @@ def test_negation_law_for_p_sums():
     rng = np.random.default_rng(TEST_SEED + 7)
     factors = [random_signed_graph(rng, 3, 0.8) for _ in range(3)]
     for p in (1, 2, 3):
-        flipped = symmetric_p([negate(f) for f in factors], p)
-        base = symmetric_p(factors, p)
+        flipped = neps([negate(f) for f in factors], p_sum_basis(3, p))
+        base = neps(factors, p_sum_basis(3, p))
         sign = (-1) ** p
         assert np.array_equal(adjacency(flipped), sign * adjacency(base))
 
@@ -390,7 +389,7 @@ def test_cartesian_balance_is_multiplicative():
 def test_strong_product_balance_counterexample():
     # The tensor product of an unbalanced all-negative odd cycle with a
     # positive edge is balanced even though one factor is not.
-    g = strong([complete(3, -1), path(2, 0)])
+    g = neps([complete(3, -1), path(2, 0)], tensor_basis(2))
     assert balance_report(g).balanced
     assert not balance_report(complete(3, -1)).balanced
 
@@ -406,7 +405,7 @@ def test_energy_bound_with_equality_and_strictness():
                 g = random_signed_graph(rng, int(rng.integers(2, 5)), 0.8)
             factors.append(g)
         rates = [spectral_node(f).energy / f.n for f in factors]
-        tensor = strong(factors)
+        tensor = neps(factors, tensor_basis(2))
         assert spectral_node(tensor).energy / tensor.n == pytest.approx(rates[0] * rates[1], abs=1e-8)
         basis = Basis(2, ((0, 1), (1, 0), (1, 1)))
         g = neps(factors, basis)

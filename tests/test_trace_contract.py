@@ -140,7 +140,16 @@ def test_public_names_resolve(tracer_module):
             "energy",
             "laplacian_energy",
         },
-        "signet.products": {"ProductVertexMap", "kron", "neps_degree_matrix", "average_degree", "strong_basis"},
+        "signet.products": {
+            "ProductVertexMap",
+            "kron",
+            "neps_degree_matrix",
+            "average_degree",
+            "strong_basis",
+            "strong",
+            "symmetric_p",
+            "_coordinate_moves",
+        },
         "signet.structured": {
             "leaf_node",
             "dense_node",
