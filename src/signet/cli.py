@@ -226,7 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run property suites")
     pv.add_argument("suite", help=f"one of {', '.join(sorted(SUITES))}, or all")
     pv.add_argument("--max", dest="max_size", type=int, default=None, help="size cap for suite instances")
-    pv.add_argument("--seed", type=int, default=None, help="RNG seed (default: SIGNET_SEED or built-in)")
+    seed_help = "RNG seed (default: SIGNET_SEED or built-in); closed-forms checks every family up to --max and ignores it"
+    pv.add_argument("--seed", type=int, default=None, help=seed_help)
     pv.set_defaults(func=cmd_verify)
     return parser
 

@@ -13,6 +13,7 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "negate",
     "underlying",
     "switch",
+    "disjoint_union",
     "balance_report",
     "to_json_dict",
     "from_json_dict",
@@ -219,15 +221,21 @@ class BalanceReport:
 def adjacency(g: SignedGraph) -> np.ndarray:
     """Signed adjacency matrix with entries in {-1, 0, 1}, written from the
     form the graph was built from."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
     if g.from_array:
-        u, v, s = g.edge_array.T
-        a[u, v] = s
-        a[v, u] = s
-        return a
+        return _adjacency_of_rows(g.n, g.edge_array)
+    a = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v, s in g.edges:
         a[u, v] = s
         a[v, u] = s
+    return a
+
+
+def _adjacency_of_rows(n: int, rows: np.ndarray) -> np.ndarray:
+    """The adjacency matrix of order n scattered from (u, v, s) rows."""
+    a = np.zeros((n, n), dtype=np.int64)
+    u, v, s = rows.T
+    a[u, v] = s
+    a[v, u] = s
     return a
 
 
@@ -302,6 +310,18 @@ def switch(g: SignedGraph, signs) -> SignedGraph:
     return SignedGraph(
         g.n, tuple((u, v, values[u] * s * values[v]) for u, v, s in g.edges)
     )
+
+
+def disjoint_union(gs: Iterable[SignedGraph]) -> SignedGraph:
+    """The graphs side by side, in order: each one's vertices are numbered
+    after those of the graphs before it, and its edge array is shifted by
+    that offset.  The union is one edge-array graph, checked by the
+    constructor like any other."""
+    parts, offset = [np.empty((0, 3), dtype=np.int64)], 0
+    for g in gs:
+        parts.append(g.edge_array + (offset, offset, 0))
+        offset += g.n
+    return SignedGraph(offset, np.concatenate(parts))
 
 
 def _adjacency_lists(g: SignedGraph) -> list[list[tuple[int, int]]]:

@@ -8,12 +8,14 @@ equals the matrix solved alone, bit for bit, as the tests check.  The
 tests also pit the solver against an independent pure-Python Householder +
 QL solver, which is not part of the package.
 Energies are computed from a spectrum, so a caller that already holds one
-does not solve again.  Built graphs reach this module through
-:class:`signet.structured.DenseNode`.
+does not solve again.  They are added with ``math.fsum``, which rounds the
+same on every Python version, where ``sum`` compensates only from 3.12 on.
+Built graphs reach this module through :class:`signet.structured.DenseNode`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,13 +47,15 @@ def eigenvalues(matrix) -> np.ndarray:
 
 
 def energy_from_spectrum(spectrum: Iterable[float]) -> float:
-    """Sum of absolute values of an adjacency spectrum."""
-    return float(sum(abs(v) for v in spectrum))
+    """Sum of absolute values of an adjacency spectrum, correctly rounded
+    (``math.fsum``), so the same on every Python version."""
+    return math.fsum(map(abs, spectrum))
 
 
 def laplacian_energy_from_spectrum(spectrum: Sequence[float], m: int) -> float:
     """Sum of |mu - d_bar| over the Laplacian spectrum of a graph with m
-    edges, d_bar = 2m/n its average degree; 0 when n = 0."""
+    edges, d_bar = 2m/n its average degree; 0 when n = 0.  Correctly
+    rounded, like :func:`energy_from_spectrum`."""
     n = len(spectrum)
     d_bar = 2.0 * m / n if n else 0.0
-    return float(sum(abs(v - d_bar) for v in spectrum))
+    return math.fsum(abs(v - d_bar) for v in spectrum)

@@ -25,7 +25,8 @@ on first use, bottom-up, by the cheapest exact rule:
   :func:`signet.graphs.balance_report`.  Only dense leaves solve, and
   :class:`DenseNode` is the one route from a built graph to its spectra and
   energies; :meth:`DenseNode.solve_all` solves many dense leaves in stacks,
-  one LAPACK call per order and kind.
+  one LAPACK call per order and kind, and :meth:`DenseNode.blocks` cuts the
+  dense leaves of a disjoint union's parts out of the built union.
 
 A Laplacian that no rule above gives is k - lambda over a k-regular graph
 (L = kI - A: cycles, complete graphs, regular products, line graphs of
@@ -39,7 +40,7 @@ module (a test double, a tracer) is the one that runs.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -200,6 +201,36 @@ class DenseNode(SpectralNode):
                 for node, values in zip(group.values(), spectra.eigenvalues(stack)):
                     setattr(node, kind, values)
 
+    @staticmethod
+    def blocks(g: graphs.SignedGraph, block, count: int) -> Callable[[int], DenseNode]:
+        """The dense leaves of the blocks of g, where vertex v lies in block
+        ``block[v]``, one of 0..count-1, and is labelled by its rank there:
+        ``leaf(b)`` makes the leaf of block b, with its own order, edges and
+        signs, when called.  An edge between two blocks is refused with
+        ValueError.
+
+        g's edges are sorted, one stable sort by block keeps that order
+        within each block, and the relabelling is increasing within a block,
+        so each block's rows come out in canonical order.  A block leaf
+        scatters its matrix from its rows, and builds its graph through the
+        constructor only when a field other than the spectra asks for it."""
+        block = np.asarray(block, dtype=np.int64)
+        edges = g.edge_array
+        home = block[edges[:, 0]]
+        across = home != block[edges[:, 1]]
+        if across.any():
+            u, v, _ = edges[across.argmax()].tolist()
+            raise ValueError(f"edge ({u}, {v}) joins block {block[u]} to block {block[v]}")
+        sizes = np.bincount(block, minlength=count)
+        rank = np.empty(g.n, dtype=np.int64)
+        rank[block.argsort(kind="stable")] = np.arange(g.n) - np.repeat(sizes.cumsum() - sizes, sizes)
+        order = home.argsort(kind="stable")
+        rows = edges[order]
+        rows[:, :2] = rank[rows[:, :2]]
+        bounds = home[order].searchsorted(np.arange(count + 1)).tolist()
+        sizes = sizes.tolist()
+        return lambda b: _BlockLeaf(sizes[b], rows[bounds[b] : bounds[b + 1]])
+
     @graphs.lazy_field
     def _degrees(self) -> list[int]:
         return graphs.degrees(self.graph).tolist()
@@ -228,6 +259,21 @@ class DenseNode(SpectralNode):
             (sum(deg[v] for v in comp.vertices) // 2, comp.balanced, comp.bipartite, max(deg[v] for v in comp.vertices))
             for comp in self._report.components
         )
+
+
+class _BlockLeaf(DenseNode):
+    """Dense leaf of one block of a built graph, cut by :meth:`DenseNode.blocks`."""
+
+    def __init__(self, n: int, rows: np.ndarray):
+        self.n, self.m, self._rows = n, len(rows), rows
+
+    @graphs.lazy_field
+    def _matrix(self) -> np.ndarray:
+        return graphs._adjacency_of_rows(self.n, self._rows)
+
+    @graphs.lazy_field
+    def graph(self) -> graphs.SignedGraph:
+        return graphs.SignedGraph(self.n, self._rows)
 
 
 class ProductNode(SpectralNode):

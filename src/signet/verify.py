@@ -10,6 +10,9 @@ The suites that solve build their cases in order, with the same draws as one
 case at a time, and check them in batches whose dense fields
 :meth:`DenseNode.solve_all` first fills, one LAPACK call per order and kind.
 A budget of matrix entries, not of cases, bounds a batch at any ``--max``.
+``closed-forms`` builds each run of its cases as one graph, a disjoint union
+or a Cartesian product of two, and its line graph, and cuts each case's dense
+leaves out of them as blocks (:meth:`DenseNode.blocks`).
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formulas
-from .families import cycle, parse_family, random_signed_graph
+from .families import cycle, family_leaves, parse_family, random_signed_graph
 from .graphs import (
     SignedGraph,
     adjacency,
     balance_report,
     degrees,
+    disjoint_union,
     incidence,
     laplacian,
     underlying,
@@ -34,7 +38,7 @@ from .graphs import (
 from .linegraph import line_graph
 from .oracle import rank_exact
 from .products import Basis, cartesian, kron_sum_over_basis, neps, tensor_basis
-from .structured import DenseNode, LineNode, spectral_node
+from .structured import DenseNode, LeafNode, LineNode, spectral_node
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "multiset_gap"]
 
@@ -221,56 +225,95 @@ def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
     return result
 
 
-def _closed_form_cases(max_n: int):
-    """The closed-forms cases as (family string, check the graph, check its
-    line graph, check the line graph's Laplacian where a rule gives it)."""
-    for n in range(1, max_n + 1):
-        for r in range(n):
-            yield f"path:n={n},r={r}", True, False, False
-    for n in range(3, max_n + 1):
-        for r in range(n + 1):
-            yield f"cycle:n={n},r={r}", True, True, False
-    for m in range(1, max_n + 1):
-        for n in range(1, max_n + 1):
-            for r1, r2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                if r1 < m and r2 < n:
-                    yield f"grid:m={m},r1={r1},n={n},r2={r2}", True, r1 == r2 == 0, True
+_SIGN_PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _closed_form_runs(max_n: int):
+    """The closed-forms cases in order, as (family string, check the graph,
+    check its line graph, check the line graph's Laplacian where a rule gives
+    it), in runs of consecutive cases whose graphs are built together: the
+    plain paths, the cycles, the grids, cylinders and tori of each m, the
+    complete graphs and the line-only paths.  A run of two-leaf families
+    pairs every first leaf with every second."""
+    top = range(1, max_n + 1)
+    yield [(f"path:n={n},r={r}", True, False, False) for n in top for r in range(n)]
+    yield [(f"cycle:n={n},r={r}", True, True, False) for n in range(3, max_n + 1) for r in range(n + 1)]
+    for m in top:
+        yield [
+            (f"grid:m={m},r1={r1},n={n},r2={r2}", True, r1 == r2 == 0, True)
+            for n in top
+            for r1, r2 in _SIGN_PAIRS
+            if r1 < m and r2 < n
+        ]
     for m in range(3, max_n + 1):
-        for n in range(1, max_n + 1):
-            for r1 in (0, 1):
-                yield f"cylinder:m={m},r1={r1},n={n}", True, True, True
+        yield [(f"cylinder:m={m},r1={r1},n={n}", True, True, True) for n in top for r1 in (0, 1)]
     for m in range(3, max_n + 1):
-        for n in range(3, max_n + 1):
-            for r1, r2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                yield f"torus:m={m},r1={r1},n={n},r2={r2}", True, True, True
-    for n in range(1, max_n + 1):
-        for sign in "+-":
-            yield f"complete:n={n},sign={sign}", False, True, True
-    for n in range(1, max_n + 1):
-        for r in range(n):
-            yield f"path:n={n},r={r}", False, True, True
+        yield [
+            (f"torus:m={m},r1={r1},n={n},r2={r2}", True, True, True)
+            for n in range(3, max_n + 1)
+            for r1, r2 in _SIGN_PAIRS
+        ]
+    yield [(f"complete:n={n},sign={sign}", False, True, True) for n in top for sign in "+-"]
+    yield [(f"path:n={n},r={r}", False, True, True) for n in top for r in range(n)]
+
+
+def _run_blocks(specs, lined: bool):
+    """The dense leaves of a run of family graphs, cut as blocks from one
+    build: ``(cut, leaf, line)``, where ``leaf(cut[k])`` makes the leaf of
+    the k-th family's graph and, when ``lined``, ``line(cut[k])`` that of
+    its line graph (else ``line`` is None).
+
+    The distinct first leaves are built once each and joined in one
+    disjoint union, and so are the second leaves.  The run's graph is the
+    first union, or the Cartesian product of the two unions: that is the
+    disjoint union of the products of one first and one second leaf, and
+    product vertex (j1, j2) lies in block b1[j1] * B2 + b2[j2] (B2 second
+    leaves) at its rank there, its row-major index in that one product.
+    The line graph is built once, and each of its vertices, an edge of the
+    run's graph, lies in the block of the edge's endpoints."""
+    leaves = [family_leaves(spec) for spec in specs]
+    cut, count = [0] * len(leaves), 1
+    for i, column in enumerate(zip(*leaves)):
+        index = {leaf: j for j, leaf in enumerate(dict.fromkeys(column))}
+        gs = [LeafNode(*leaf).graph for leaf in index]
+        union, own = disjoint_union(gs), np.repeat(np.arange(len(gs)), [g.n for g in gs])
+        if i:
+            graph, block = cartesian([graph, union]), np.add.outer(block * len(gs), own).ravel()
+        else:
+            graph, block = union, own
+        cut = [b * len(gs) + index[lv[i]] for b, lv in zip(cut, leaves)]
+        count *= len(gs)
+    line = DenseNode.blocks(line_graph(graph).graph, block[graph.edge_array[:, 0]], count) if lined else None
+    return cut, DenseNode.blocks(graph, block, count), line
 
 
 def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteResult:
     """The structured family nodes that ``spectrum --family`` answers with,
-    and their line-graph rules, match the dense solver within 1e-8."""
+    and their line-graph rules, match the dense solver within 1e-8.
+
+    It checks every family up to ``max_n`` and draws nothing, so ``seed``
+    is not used: every seed gives the same cases and the same output."""
     result = SuiteResult("closed-forms")
 
     def check(label, node_values, solved):
         result.record(multiset_gap(node_values, solved) <= 1e-8, f"{label}: node != solver")
 
     def cases():
-        for text, plain, line, line_laplacian in _closed_form_cases(max_n):
-            node = spectral_node(parse_family(text))
-            g = node.graph
-            dense = spectral_node(g) if plain else None
-            lined = LineNode(node) if line else None
-            dense_line = spectral_node(line_graph(g).graph) if line else None
-            # A line Laplacian from the dense leaf would be compared with itself.
-            line_laplacian = line_laplacian and line and lined.laplacian_rule != "dense"
-            adjacency = [x for x in (dense, dense_line) if x is not None]
-            laplacian = [dense] * plain + [dense_line] * line_laplacian
-            yield adjacency, laplacian, (text, node, dense, lined, dense_line, line_laplacian)
+        for run in _closed_form_runs(max_n):
+            if not run:
+                continue
+            specs = [parse_family(text) for text, *_ in run]
+            cut, leaf, line_leaf = _run_blocks(specs, any(line for _, _, line, _ in run))
+            for (text, plain, line, line_laplacian), spec, b in zip(run, specs, cut):
+                node = spectral_node(spec)
+                dense = leaf(b) if plain else None
+                lined = LineNode(node) if line else None
+                dense_line = line_leaf(b) if line else None
+                # A line Laplacian from the dense leaf would be compared with itself.
+                line_laplacian = line_laplacian and line and lined.laplacian_rule != "dense"
+                adjacency = [x for x in (dense, dense_line) if x is not None]
+                laplacian = [dense] * plain + [dense_line] * line_laplacian
+                yield adjacency, laplacian, (text, node, dense, lined, dense_line, line_laplacian)
 
     for text, node, dense, lined, dense_line, line_laplacian in _solved_in_batches(cases()):
         if dense is not None:

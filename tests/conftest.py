@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from signet.families import random_signed_graph
+from signet.graphs import SignedGraph
 from signet.verify import multiset_gap
 
 # Fixed 64-bit seed for every randomised sweep; override with SIGNET_SEED.
@@ -48,3 +51,12 @@ def multiplicity_of(values, x: float, tol: float) -> int:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     return sum(1 for v in values if abs(v - x) <= tol)
+
+
+@st.composite
+def small_signed_graphs(draw, max_n: int = 6):
+    """A signed graph of order 0..max_n: each vertex pair a positive edge, a
+    negative edge or no edge."""
+    n = draw(st.integers(0, max_n))
+    signs = (draw(st.sampled_from((0, 1, -1))) for _ in range(n * (n - 1) // 2))
+    return SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(itertools.combinations(range(n), 2), signs) if s))

@@ -533,6 +533,62 @@ def test_suites_solve_each_matrix_once_in_stacks(monkeypatch, suite, seed, check
     assert 4 * len(calls) <= matrices
 
 
+def test_closed_forms_blocks_are_the_cases_own_graphs():
+    """Each case's dense leaves, cut from its run's union, hold the case's
+    own graph and line graph, with the same vertex labels and edge order."""
+    from signet import verify
+
+    cases = 0
+    for run in verify._closed_form_runs(8):
+        specs = [parse_family(text) for text, *_ in run]
+        cut, leaf, line = verify._run_blocks(specs, True) if run else ((), None, None)
+        for spec, b in zip(specs, cut):
+            g = spectral_node(spec).graph
+            lg = line_graph(g).graph
+            assert leaf(b).graph == g and np.array_equal(leaf(b)._matrix, adjacency(g))
+            assert line(b).graph == lg and np.array_equal(line(b)._matrix, adjacency(lg))
+            cases += 1
+    assert cases == 592
+
+
+def test_closed_forms_builds_one_product_and_one_line_graph_per_run(monkeypatch):
+    """At the default --max, verify builds 14 products (the runs of 6 grid,
+    4 cylinder and 4 torus values of m) and 17 line graphs (those runs, the
+    cycles, the complete graphs and the line-only paths), where one build
+    per case took 233 and 207.  The nodes build 1 and 4 more, as before:
+    the line graph of a graph with no edge has order 0, is not regular, and
+    takes its empty Laplacian from the dense leaf of the built line graph
+    (complete:n=1 of both signs, path:n=1, grid:m=1,n=1)."""
+    from collections import Counter
+
+    from signet import linegraph, products, verify
+
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] not in ("signet.verify", "signet.structured"):
+                frame = frame.f_back
+            calls[name, frame.f_globals["__name__"]] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in ((products, "neps"), (verify, "neps"), (linegraph, "line_graph"), (verify, "line_graph")):
+        counted(module, name)
+    result = verify.closed_forms_suite()
+    assert (result.checks, result.failures) == (880, [])
+    assert calls == {
+        ("neps", "signet.verify"): 14,
+        ("line_graph", "signet.verify"): 17,
+        ("neps", "signet.structured"): 1,
+        ("line_graph", "signet.structured"): 4,
+    }
+
+
 def test_closed_forms_suite_keeps_no_spectra_across_checks():
     """Each check's matrices and spectra are dropped with its nodes, so the
     peak is one check's, not the run's."""

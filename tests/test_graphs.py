@@ -23,6 +23,7 @@ from signet.graphs import (
     balance_report,
     degree_matrix,
     degrees,
+    disjoint_union,
     dumps,
     from_json_dict,
     incidence,
@@ -661,3 +662,12 @@ def test_switching_keeps_spectra_and_balance(case):
     assert multiset_gap(before.adjacency, after.adjacency) <= 1e-9
     assert multiset_gap(before.laplacian, after.laplacian) <= 1e-9
     assert before.balance == after.balance  # (b, c, c_b)
+
+
+def test_disjoint_union_shifts_each_graph_past_the_ones_before():
+    parts = [SignedGraph(2, ((0, 1, -1),)), SignedGraph(0), SignedGraph(1), SignedGraph(3, ((0, 2, 1), (1, 2, -1)))]
+    union = disjoint_union(parts)
+    assert union.from_array
+    assert union == SignedGraph(6, ((0, 1, -1), (3, 5, 1), (4, 5, -1)))
+    assert disjoint_union([]) == SignedGraph(0)
+    assert disjoint_union([parts[0]]) == parts[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TEST_SEED, assert_multiset_close
+from conftest import TEST_SEED, assert_multiset_close, small_signed_graphs
 from referees import line_graph_by_pairs
 
 from signet.families import complete, cycle, path, random_signed_graph
@@ -15,12 +15,13 @@ from signet.graphs import (
     adjacency,
     balance_report,
     degrees,
+    disjoint_union,
     dumps,
     incidence,
     negate,
 )
 from signet.linegraph import line_graph
-from signet.structured import spectral_node
+from signet.structured import DenseNode, spectral_node
 
 
 def _incidence_line_adjacency(g: SignedGraph) -> np.ndarray:
@@ -217,3 +218,15 @@ def test_line_graph_refuses_a_triple_base_with_an_endpoint_past_int64():
     with pytest.raises(ValueError, match="past the int64 range of edge arrays"):
         line_graph(g)
     assert line_graph_by_pairs(g) == SignedGraph(2, ((0, 1, 1),))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(small_signed_graphs(), min_size=1, max_size=4))
+def test_line_graph_of_a_union_is_the_union_of_the_line_graphs(gs):
+    """Two edges of different graphs of a union share no endpoint, so the
+    line graph of the union is the union of the line graphs, each edge of
+    G_b a vertex of block b, in edge order."""
+    union = disjoint_union(gs)
+    block = np.repeat(np.arange(len(gs)), [g.n for g in gs])[union.edge_array[:, 0]]
+    leaf = DenseNode.blocks(line_graph(union).graph, block, len(gs))
+    assert [leaf(b).graph for b in range(len(gs))] == [line_graph(g).graph for g in gs]

@@ -9,12 +9,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import TEST_SEED, assert_multiset_close
+from conftest import TEST_SEED, assert_multiset_close, small_signed_graphs
 
 from signet.families import complete, cycle, path, random_signed_graph
 import signet.products as products
-from signet.graphs import SignedGraph, adjacency, balance_report, degree_matrix, dumps, loads, to_json_dict
+from signet.graphs import (
+    SignedGraph,
+    adjacency,
+    balance_report,
+    degree_matrix,
+    disjoint_union,
+    dumps,
+    loads,
+    to_json_dict,
+)
 from signet.products import (
     Basis,
     cartesian,
@@ -25,7 +35,7 @@ from signet.products import (
     tensor_basis,
 )
 from signet.spectra import eigenvalues
-from signet.structured import LeafNode, ProductNode, spectral_node
+from signet.structured import DenseNode, LeafNode, ProductNode, spectral_node
 
 
 @pytest.fixture(autouse=True)
@@ -426,3 +436,47 @@ def test_errors():
         neps([], Basis(1, ((1,),)))
     with pytest.raises(ValueError):
         neps([path(2, 0)], cartesian_basis(2))
+
+
+# --- disjoint unions ------------------------------------------------------------
+
+
+def _bases(nu: int):
+    """Every basis of arity nu, drawn as a set of patterns covering each coordinate."""
+    patterns = [vec for vec in itertools.product((0, 1), repeat=nu) if any(vec)]
+    return (
+        st.sets(st.sampled_from(patterns), min_size=1)
+        .filter(lambda chosen: all(any(vec[i] for vec in chosen) for i in range(nu)))
+        .map(lambda chosen: Basis(nu, tuple(chosen)))
+    )
+
+
+def _block_of(gs) -> np.ndarray:
+    """The block of each vertex of ``disjoint_union(gs)``: the index of its graph."""
+    return np.repeat(np.arange(len(gs)), [g.n for g in gs])
+
+
+_GRAPH_LISTS = st.lists(small_signed_graphs(), min_size=1, max_size=3)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_GRAPH_LISTS, small_signed_graphs(), _bases(2))
+def test_neps_of_a_union_and_a_graph_is_the_union_of_the_products(gs, h, basis):
+    """Every pattern keeps the first coordinate or moves it along an edge,
+    which stays in one graph of the union: NEPS([G_1 + .. + G_k, H]) is
+    NEPS([G_1, H]) + .. + NEPS([G_k, H]), each in its own rows."""
+    product = neps([disjoint_union(gs), h], basis)
+    leaf = DenseNode.blocks(product, np.repeat(_block_of(gs), h.n), len(gs))
+    assert [leaf(b).graph for b in range(len(gs))] == [neps([g, h], basis) for g in gs]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_GRAPH_LISTS, _GRAPH_LISTS, _bases(2))
+def test_neps_of_two_unions_is_the_union_of_the_pairwise_products(gs, hs, basis):
+    """Vertex (j1, j2) of the product of two unions lies in the product of
+    the j1-th vertex's graph G_a and the j2-th's H_b, at its row-major index
+    there; block a * len(hs) + b is NEPS([G_a, H_b])."""
+    product = neps([disjoint_union(gs), disjoint_union(hs)], basis)
+    block = np.add.outer(_block_of(gs) * len(hs), _block_of(hs)).ravel()
+    leaf = DenseNode.blocks(product, block, len(gs) * len(hs))
+    assert [leaf(b).graph for b in range(len(gs) * len(hs))] == [neps([g, h], basis) for g in gs for h in hs]

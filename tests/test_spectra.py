@@ -19,7 +19,7 @@ from signet.graphs import (
     negate,
 )
 from signet.linegraph import line_graph
-from signet.spectra import eigenvalues
+from signet.spectra import eigenvalues, energy_from_spectrum, laplacian_energy_from_spectrum
 from signet.structured import spectral_node
 
 
@@ -187,3 +187,11 @@ def test_multiplicity_of_two_in_line_of_complete_four():
 def test_odd_signature_six_cycle_laplacian_has_no_zero():
     spec = spectral_node(cycle(6, 1)).laplacian
     assert multiplicity_of(spec, 0.0, 1e-6) == 0
+
+
+def test_energies_are_correctly_rounded():
+    """``math.fsum``: plain ``sum`` gives 1e16 on Python < 3.12, where it
+    does not compensate, and 1e16 + 2 from 3.12 on."""
+    assert energy_from_spectrum([1e16, 1.0, 1.0]) == 1e16 + 2
+    assert energy_from_spectrum([-1e16, 1.0, -1.0]) == 1e16 + 2
+    assert laplacian_energy_from_spectrum([1e16, 1.0, 1.0], 0) == 1e16 + 2

@@ -11,11 +11,11 @@ import pytest
 from conftest import TEST_SEED
 
 from signet.cli import _report, main
-from signet.families import parse_family, path, random_signed_graph
-from signet.graphs import SignedGraph, balance_report, degrees, dumps, loads
+from signet.families import cycle, parse_family, path, random_signed_graph
+from signet.graphs import SignedGraph, adjacency, balance_report, degrees, disjoint_union, dumps, loads
 from signet.linegraph import line_graph
 from signet.products import cartesian, cartesian_basis, neps
-from signet.structured import LineNode, ProductNode, line_balance, spectral_node
+from signet.structured import DenseNode, LineNode, ProductNode, line_balance, spectral_node
 from signet.verify import _random_basis, _random_factors
 
 MAX_ORDER = 8  # leaves and product factors of orders 1..8 (cycles 3..8)
@@ -154,6 +154,33 @@ def test_solve_all_fills_only_the_fields_asked_for(monkeypatch):
     assert all("laplacian" not in vars(node) for node in nodes[:4])
     for node, (_, laplacian) in zip(nodes[4:], alone[4:]):
         assert np.array_equal(node.laplacian, laplacian)
+
+
+def test_block_leaves_solve_from_their_rows_and_build_their_graph_on_demand():
+    parts = [cycle(3, 1), SignedGraph(1), path(4, 2)]
+    g = disjoint_union(parts)
+    leaf = DenseNode.blocks(g, np.repeat([0, 1, 2], [3, 1, 4]), 3)
+    leaves = [leaf(b) for b in range(3)]
+    DenseNode.solve_all(adjacency=leaves, laplacian=leaves)
+    for node, part in zip(leaves, parts):
+        assert (node.n, node.m) == (part.n, part.m)
+        assert np.array_equal(node._matrix, adjacency(part))
+        assert np.array_equal(node.adjacency, spectral_node(part).adjacency)
+        assert np.array_equal(node.laplacian, spectral_node(part).laplacian)
+        assert "graph" not in vars(node)  # the spectra need no graph
+        assert node.balance == spectral_node(part).balance and node.graph == part
+
+
+def test_blocks_refuse_an_edge_between_two_blocks():
+    g = disjoint_union([cycle(3, 1), path(4, 2)])
+    block = np.repeat([0, 1], [3, 4])
+    joined = SignedGraph(7, g.edges + ((2, 3, 1),))
+    with pytest.raises(ValueError, match=r"^edge \(2, 3\) joins block 0 to block 1$"):
+        DenseNode.blocks(joined, block, 2)
+    # A block map shifted by one vertex puts an end of some edge in the other block.
+    for shift, message in ((1, r"^edge \(0, 1\) joins block 1 to block 0$"), (-1, r"^edge \(0, 2\) joins block 0 to block 1$")):
+        with pytest.raises(ValueError, match=message):
+            DenseNode.blocks(g, np.roll(block, shift), 2)
 
 
 def test_line_of_path_is_the_path_leaf():
