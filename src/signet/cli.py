@@ -40,14 +40,6 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-class _InputAction(argparse.Action):
-    """Collect --family/--file occurrences into one tuple, preserving order."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        kind = "family" if option_string == "--family" else "file"
-        namespace.inputs = (*namespace.inputs, (kind, values))
-
-
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -175,17 +167,20 @@ def cmd_verify(ns) -> int:
 
 
 def _add_input_flags(parser):
+    # --family and --file append to one list, each value tagged with its flag, so the order is kept.
     parser.add_argument(
         "--family",
-        action=_InputAction,
+        action="append",
+        dest="inputs",
+        type=lambda text: ("family", text),
         metavar="SPEC",
         help="family string, e.g. cycle:n=5,r=1 or grid:m=3,r1=0,n=4,r2=1",
     )
     parser.add_argument(
-        "--file", action=_InputAction, metavar="PATH", help="graph JSON file"
+        "--file", action="append", dest="inputs", type=lambda path: ("file", path), metavar="PATH", help="graph JSON file"
     )
     parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    parser.set_defaults(inputs=())
+    parser.set_defaults(inputs=[])
 
 
 def _add_basis_flag(parser):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .graphs import SignedGraph
 from .products import cartesian
@@ -23,9 +22,7 @@ __all__ = [
     "cylinder",
     "torus",
     "random_signed_graph",
-    "FamilySpec",
     "parse_family",
-    "family_leaves",
 ]
 
 
@@ -124,40 +121,37 @@ def random_signed_graph(rng, n: int, p: float) -> SignedGraph:
 # family strings (CLI surface): kind:key=value,...
 # ---------------------------------------------------------------------------
 
-_FAMILY_KEYS = {
-    "path": {"n", "r"},
-    "cycle": {"n", "r"},
-    "complete": {"n", "sign"},
-    "grid": {"m", "r1", "n", "r2"},
-    "cylinder": {"m", "r1", "n", "r2"},
-    "torus": {"m", "r1", "n", "r2"},
+# Leaf kind -> (parameter check, second key and its default).
+_LEAVES = {
+    "path": (_path_params, "r", 0),
+    "cycle": (_cycle_params, "r", 0),
+    "complete": (_complete_params, "sign", 1),
 }
+# The Cartesian factors of the two-leaf families, as (first, second) leaf
+# kinds; the first leaf takes keys m and r1, the second n and r2.
+_PRODUCT_LEAVES = {"grid": ("path", "path"), "cylinder": ("cycle", "path"), "torus": ("cycle", "cycle")}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parsed family description: a kind plus integer parameters."""
-
-    kind: str
-    params: dict
+_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
 
-def _parse_sign(text: str) -> int:
-    if text in ("+", "+1", "1"):
-        return 1
-    if text in ("-", "-1"):
-        return -1
-    raise ValueError(f"bad sign value {text!r}, expected + or -")
-
-
-def parse_family(text: str) -> FamilySpec:
+def parse_family(text: str) -> tuple[tuple[str, int, int], ...]:
+    """The validated leaves ``(kind, n, r or sign)`` of a family string,
+    whose Cartesian product is the family's graph: one leaf for path, cycle
+    and complete, two for grid, cylinder and torus.  Raises ValueError for
+    the string's syntax first, then for a missing key, then with the same
+    messages as the constructors.  :func:`signet.structured.spectral_node`
+    makes the leaves a node, whose ``graph`` builds the family with these
+    constructors."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind not in _FAMILY_KEYS:
-        raise ValueError(
-            f"unknown family kind {kind!r}, expected one of {sorted(_FAMILY_KEYS)}"
-        )
-    allowed = _FAMILY_KEYS[kind]
+    if kind in _PRODUCT_LEAVES:
+        slots = tuple(zip(_PRODUCT_LEAVES[kind], (("m", "r1"), ("n", "r2"))))
+    elif kind in _LEAVES:
+        slots = ((kind, ("n", _LEAVES[kind][1])),)
+    else:
+        raise ValueError(f"unknown family kind {kind!r}, expected one of {sorted([*_LEAVES, *_PRODUCT_LEAVES])}")
+    allowed = {key for _, keys in slots for key in keys}
     params: dict = {}
     if rest.strip():
         for item in rest.split(","):
@@ -171,39 +165,17 @@ def parse_family(text: str) -> FamilySpec:
             if key in params:
                 raise ValueError(f"duplicate family key {key!r}")
             if key == "sign":
-                params[key] = _parse_sign(value)
+                if value not in _SIGNS:
+                    raise ValueError(f"bad sign value {value!r}, expected + or -")
+                params[key] = _SIGNS[value]
             else:
                 try:
                     params[key] = int(value)
                 except ValueError:
                     raise ValueError(f"family key {key!r} needs an integer, got {value!r}") from None
-    return FamilySpec(kind, params)
-
-
-# Leaf kind -> (parameter check, second key and its default).
-_LEAVES = {
-    "path": (_path_params, "r", 0),
-    "cycle": (_cycle_params, "r", 0),
-    "complete": (_complete_params, "sign", 1),
-}
-# The Cartesian factors of the two-leaf families, as (first, second) leaf kinds.
-_PRODUCT_LEAVES = {"grid": ("path", "path"), "cylinder": ("cycle", "path"), "torus": ("cycle", "cycle")}
-
-
-def family_leaves(spec: FamilySpec) -> tuple[tuple[str, int, int], ...]:
-    """The validated leaves ``(kind, n, r or sign)`` whose Cartesian product
-    is the family's graph; one leaf for path, cycle and complete, two for
-    grid, cylinder and torus.  Raises ValueError with the same messages as
-    the constructors.  :func:`signet.structured.spectral_node` makes them a
-    node, whose ``graph`` builds the family with these constructors."""
-    p = spec.params
-    try:
-        if spec.kind in _PRODUCT_LEAVES:
-            first, second = _PRODUCT_LEAVES[spec.kind]
-            raw = [(first, p["m"], p.get("r1", 0)), (second, p["n"], p.get("r2", 0))]
-        else:
-            key, default = _LEAVES[spec.kind][1:]
-            raw = [(spec.kind, p["n"], p.get(key, default))]
-    except KeyError as missing:
-        raise ValueError(f"family {spec.kind!r} is missing key {missing}") from None
-    return tuple((kind, *_LEAVES[kind][0](n, x)) for kind, n, x in raw)
+    for _, (size, _) in slots:
+        if size not in params:
+            raise ValueError(f"family {kind!r} is missing key {size!r}")
+    return tuple(
+        (leaf, *_LEAVES[leaf][0](params[size], params.get(key, _LEAVES[leaf][2]))) for leaf, (size, key) in slots
+    )

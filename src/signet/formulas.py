@@ -105,6 +105,11 @@ def neps_sum(spectra: Sequence[Sequence[float]], vectors: Sequence[Sequence[int]
 # ---------------------------------------------------------------------------
 
 
+# The b-th Laplacian value is zero within _ZERO_SCALE * n * eps * max(1, max |mu|): a solver's
+# rounding grows with the order and the norm, and a structured Laplacian's zeros are exact.
+_ZERO_SCALE = 64
+
+
 def line_spectrum_general(lap_values: Sequence[float], m: int, n: int, b: int) -> list[float]:
     """Line-graph adjacency eigenvalues from the source Laplacian spectrum.
 
@@ -118,6 +123,6 @@ def line_spectrum_general(lap_values: Sequence[float], m: int, n: int, b: int) -
         raise ValueError(f"expected {n} Laplacian eigenvalues, got {len(lap)}")
     if not 0 <= b <= n:
         raise ValueError(f"balanced component count b={b} out of range")
-    if b and abs(lap[b - 1]) > 1e-6:
+    if b and abs(lap[b - 1]) > _ZERO_SCALE * n * np.finfo(float).eps * max(1.0, -lap[0], lap[-1]):
         raise ValueError("Laplacian zero multiplicity does not match b")
     return sorted([2.0 - v for v in lap[b:]] + [2.0] * (m - n + b))

@@ -78,8 +78,9 @@ class SpectralNode:
 
     @property
     def regular(self) -> int | None:
-        """The common degree of a regular graph with n >= 1, else None."""
-        return self.max_degree if self.n and self.max_degree == self.min_degree else None
+        """The common degree of a regular graph, else None; a graph with no
+        vertex is regular of degree 0."""
+        return self.max_degree if self.max_degree == self.min_degree else None
 
     @property
     def b(self) -> int:
@@ -438,12 +439,11 @@ class LineNode(SpectralNode):
 _FAMILY_BASIS = products.cartesian_basis(2)  # grids, cylinders and tori
 
 
-def spectral_node(source: graphs.SignedGraph | families.FamilySpec, line: bool = False) -> SpectralNode:
-    """Node of a built graph (its dense leaf) or of a family (its closed-form
-    leaves, with no graph built), or of its line graph."""
+def spectral_node(source: graphs.SignedGraph | Sequence[tuple[str, int, int]]) -> SpectralNode:
+    """Node of a built graph (its dense leaf), or of a family's leaves from
+    :func:`signet.families.parse_family` (closed-form leaves, with no graph
+    built).  ``LineNode(spectral_node(source))`` is its line graph's."""
     if isinstance(source, graphs.SignedGraph):
-        node = DenseNode(source)
-    else:
-        leaves = [LeafNode(*leaf) for leaf in families.family_leaves(source)]
-        node = leaves[0] if len(leaves) == 1 else ProductNode(_FAMILY_BASIS, leaves)
-    return LineNode(node) if line else node
+        return DenseNode(source)
+    leaves = [LeafNode(*leaf) for leaf in source]
+    return leaves[0] if len(leaves) == 1 else ProductNode(_FAMILY_BASIS, leaves)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formulas
-from .families import cycle, family_leaves, parse_family, random_signed_graph
+from .families import cycle, parse_family, random_signed_graph
 from .graphs import (
     SignedGraph,
     adjacency,
@@ -257,9 +257,10 @@ def _closed_form_runs(max_n: int):
     yield [(f"path:n={n},r={r}", False, True, True) for n in top for r in range(n)]
 
 
-def _run_blocks(specs, lined: bool):
-    """The dense leaves of a run of family graphs, cut as blocks from one
-    build: ``(cut, leaf, line)``, where ``leaf(cut[k])`` makes the leaf of
+def _run_blocks(leaves, lined: bool):
+    """The dense leaves of a run of family graphs, given by their
+    :func:`parse_family` leaves, cut as blocks from one build:
+    ``(cut, leaf, line)``, where ``leaf(cut[k])`` makes the dense leaf of
     the k-th family's graph and, when ``lined``, ``line(cut[k])`` that of
     its line graph (else ``line`` is None).
 
@@ -271,7 +272,6 @@ def _run_blocks(specs, lined: bool):
     leaves) at its rank there, its row-major index in that one product.
     The line graph is built once, and each of its vertices, an edge of the
     run's graph, lies in the block of the edge's endpoints."""
-    leaves = [family_leaves(spec) for spec in specs]
     cut, count = [0] * len(leaves), 1
     for i, column in enumerate(zip(*leaves)):
         index = {leaf: j for j, leaf in enumerate(dict.fromkeys(column))}
@@ -302,10 +302,10 @@ def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteResult:
         for run in _closed_form_runs(max_n):
             if not run:
                 continue
-            specs = [parse_family(text) for text, *_ in run]
-            cut, leaf, line_leaf = _run_blocks(specs, any(line for _, _, line, _ in run))
-            for (text, plain, line, line_laplacian), spec, b in zip(run, specs, cut):
-                node = spectral_node(spec)
+            leaves = [parse_family(text) for text, *_ in run]
+            cut, leaf, line_leaf = _run_blocks(leaves, any(line for _, _, line, _ in run))
+            for (text, plain, line, line_laplacian), family, b in zip(run, leaves, cut):
+                node = spectral_node(family)
                 dense = leaf(b) if plain else None
                 lined = LineNode(node) if line else None
                 dense_line = line_leaf(b) if line else None

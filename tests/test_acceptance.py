@@ -36,7 +36,7 @@ from signet.graphs import (
 from signet.linegraph import line_graph
 from signet.oracle import rank_exact
 from signet.products import Basis, cartesian, kron_sum_over_basis, neps, tensor_basis
-from signet.structured import spectral_node
+from signet.structured import LineNode, spectral_node
 from signet.verify import multiset_gap
 
 
@@ -153,7 +153,7 @@ def test_criterion_05_closed_form_sweep():
             check(text, node.adjacency, spectral_node(g).adjacency)
             check(f"{text} laplacian", node.laplacian, spectral_node(g).laplacian)
         if line:
-            node, lg = spectral_node(spec, line=True), line_graph(g).graph
+            node, lg = LineNode(spectral_node(spec)), line_graph(g).graph
             check(f"line({text})", node.adjacency, spectral_node(lg).adjacency)
             if line_laplacian:
                 check(f"line({text}) laplacian", node.laplacian, spectral_node(lg).laplacian)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TEST_SEED, assert_multiset_close
 from referees import line_graph_by_pairs
@@ -507,7 +511,7 @@ def test_suites_solve_through_the_dense_leaf(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "suite, seed, checks, matrices",
     [
-        ("closed-forms", None, 880, 884),
+        ("closed-forms", None, 880, 880),
         ("acharya", 9, 200, 400),
         ("line-theorems", 9, 489, 300),
         ("energy-bounds", 9, 182, 258),
@@ -555,10 +559,10 @@ def test_closed_forms_builds_one_product_and_one_line_graph_per_run(monkeypatch)
     """At the default --max, verify builds 14 products (the runs of 6 grid,
     4 cylinder and 4 torus values of m) and 17 line graphs (those runs, the
     cycles, the complete graphs and the line-only paths), where one build
-    per case took 233 and 207.  The nodes build 1 and 4 more, as before:
-    the line graph of a graph with no edge has order 0, is not regular, and
-    takes its empty Laplacian from the dense leaf of the built line graph
-    (complete:n=1 of both signs, path:n=1, grid:m=1,n=1)."""
+    per case took 233 and 207.  The nodes build nothing: the line graph of a
+    graph with no edge has order 0, is regular of degree 0, and takes its
+    empty Laplacian from that rule (complete:n=1 of both signs, path:n=1,
+    grid:m=1,n=1)."""
     from collections import Counter
 
     from signet import linegraph, products, verify
@@ -584,8 +588,6 @@ def test_closed_forms_builds_one_product_and_one_line_graph_per_run(monkeypatch)
     assert calls == {
         ("neps", "signet.verify"): 14,
         ("line_graph", "signet.verify"): 17,
-        ("neps", "signet.structured"): 1,
-        ("line_graph", "signet.structured"): 4,
     }
 
 
@@ -657,6 +659,15 @@ def test_suites_record_what_the_line_rule_refuses(monkeypatch, capsys, suite, fa
     assert fail + "Laplacian zero multiplicity does not match b" in out.splitlines()
 
 
+@pytest.mark.parametrize("seed", ["1", "9"])
+def test_line_rule_zero_check_accepts_solved_bases_up_to_order_24(capsys, seed):
+    """The zero check scales with the order and the norm, so LAPACK's zeros
+    of random bases of up to 24 vertices still count as zeros."""
+    assert run(capsys, "verify", "line-theorems", "--max", "24", "--seed", seed) == (
+        0, "line-theorems: 489 checks, 0 failures\n", "",
+    )
+
+
 @pytest.mark.parametrize("suite", ["all", "closed-forms"])
 def test_verify_rejects_max_below_one(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--max", "0")
@@ -693,3 +704,81 @@ def test_verify_reads_seed_from_environment(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "rank", "--max", "4")
     assert code == 0
     assert "rank:" in out and "0 failures" in out
+
+
+# --- the front door under arbitrary strings ---------------------------------
+
+# Values stop at 40, and raw text at runs of two digits (an underscore may
+# join digits in int()), because orders past that meet the input boundary
+# that has no cost model yet: `path:n=99999999999999` still hangs.
+_RAW_TEXT = st.text(max_size=24).filter(lambda text: not re.search(r"\d(?:_?\d){2}", text))
+_JUNK = st.sampled_from(("", " ", "x", "1.5", "--", "3a", "0x4", "+", "-", "+1", "-1"))
+_ORDERS = st.integers(-3, 40).map(str)
+_COUNTS = st.one_of(st.integers(0, 3), st.integers(-3, 40)).map(str)
+_VALUES = {"n": _ORDERS, "m": _ORDERS, "r": _COUNTS, "r1": _COUNTS, "r2": _COUNTS, "sign": st.sampled_from(("+", "-", "+1", "-1", "1", "0"))}
+_KEYS = {
+    "path": ("n", "r"),
+    "cycle": ("n", "r"),
+    "complete": ("n", "sign"),
+    "grid": ("m", "r1", "n", "r2"),
+    "cylinder": ("m", "r1", "n", "r2"),
+    "torus": ("m", "r1", "n", "r2"),
+}
+_FOREIGN_ITEMS = st.builds(
+    str.format,
+    st.sampled_from(("{0}={1}", "{0}", "{0}=", "={1}", "{0}={1}={1}")),
+    st.sampled_from(("n", "r", "m", "r1", "r2", "sign", "x", "", " n ")),
+    st.one_of(_ORDERS, _JUNK),
+)
+
+
+@st.composite
+def _family_texts(draw):
+    """A raw string one time in four.  Otherwise a kind (unknown ones too)
+    and its own keys in any order, each left out one time in eight, with
+    values that are junk one time in ten, a colon that is missing or doubled
+    one time in three, and, one time in four, a foreign, duplicate or broken
+    item put anywhere among them."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_RAW_TEXT)
+    kind = draw(st.sampled_from((*_KEYS, "blob", "")))
+    items = []
+    for key in draw(st.permutations(_KEYS.get(kind, ("n",)))):
+        if draw(st.integers(0, 7)):
+            items.append(f"{key}={draw(_JUNK if draw(st.integers(0, 9)) == 0 else _VALUES[key])}")
+    if draw(st.integers(0, 3)) == 0:
+        items.insert(draw(st.integers(0, len(items))), draw(_FOREIGN_ITEMS))
+    colon = draw(st.sampled_from((":", ":", ":", ":", "", "::")))
+    return kind + colon + ",".join(items)
+
+
+_BASIS_TEXT = st.one_of(
+    st.sampled_from(("cartesian", "tensor", "strong", "Cartesian", "", "p=", "p=x")),
+    st.one_of(st.integers(0, 3), st.integers(-3, 40)).map(lambda p: f"p={p}"),
+    st.lists(st.sampled_from(("10", "01", "11", " 11 ", "00", "1", "101", "", "x")), min_size=1, max_size=3).map(",".join),
+    _RAW_TEXT,
+)
+
+
+def _assert_clean_exit(argv):
+    """``main(argv)`` answers or refuses the input, never with a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
+    assert code == 0 or err.getvalue().startswith("signet: "), (argv, err.getvalue())
+
+
+# `--line` is drawn with `--csv`: a lined grid's or cylinder's full report
+# solves the built line graph, of order about 2mn, which takes seconds at 40.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_family_texts(), st.sampled_from(((), ("--csv",), ("--line", "--csv"))))
+def test_arbitrary_family_strings_exit_zero_or_two(text, flags):
+    _assert_clean_exit(["spectrum", f"--family={text}", *flags])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_BASIS_TEXT, st.sampled_from(((), ("--csv",), ("--line",))))
+def test_arbitrary_basis_strings_exit_zero_or_two(text, flags):
+    _assert_clean_exit(["spectrum", "--family", "path:n=3", "--family", "cycle:n=4,r=1", f"--basis={text}", *flags])

@@ -10,7 +10,6 @@ from referees import random_signed_graph_by_pairs
 
 from signet import verify
 from signet.families import (
-    FamilySpec,
     complete,
     cycle,
     cylinder,
@@ -43,6 +42,8 @@ def test_cycle_examples():
         cycle(2, 0)
     with pytest.raises(ValueError):
         cycle(4, 5)
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+        complete(4, 0)
 
 
 def test_path_spectrum_is_signature_independent():
@@ -168,10 +169,8 @@ def test_verify_draws_match_their_choice_and_ndindex_forms():
 
 
 def test_parse_family_strings():
-    assert parse_family("path:n=5,r=2") == FamilySpec("path", {"n": 5, "r": 2})
-    assert parse_family("complete:n=4,sign=-") == FamilySpec(
-        "complete", {"n": 4, "sign": -1}
-    )
+    assert parse_family("path:n=5,r=2") == (("path", 5, 2),)
+    assert parse_family("complete:n=4,sign=-") == (("complete", 4, -1),)
     assert spectral_node(parse_family("torus:m=4,r1=1,n=5,r2=0")).graph == torus(4, 1, 5, 0)
     assert spectral_node(parse_family("cycle:n=6")).graph == cycle(6, 0)
     assert spectral_node(parse_family("complete:n=3,sign=+1")).graph == complete(3, 1)

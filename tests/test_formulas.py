@@ -10,7 +10,6 @@ from conftest import TEST_SEED, assert_multiset_close
 
 from signet import formulas
 from signet.families import (
-    FamilySpec,
     complete,
     cycle,
     cylinder,
@@ -23,7 +22,7 @@ from signet.families import (
 from signet.graphs import SignedGraph, balance_report, negate
 from signet.linegraph import line_graph
 from signet.spectra import energy_from_spectrum
-from signet.structured import LeafNode, spectral_node
+from signet.structured import LeafNode, LineNode, spectral_node
 
 
 def test_parity_bracket():
@@ -95,7 +94,8 @@ def test_regular_leaf_laplacians_are_the_papers_displays():
 
 def _node(text: str, line: bool = False):
     """The structured node `spectrum --family text [--line]` answers with."""
-    return spectral_node(parse_family(text), line)
+    node = spectral_node(parse_family(text))
+    return LineNode(node) if line else node
 
 
 def test_grid_formula_values_and_energies():
@@ -182,6 +182,13 @@ def test_line_spectrum_general_validates_kernel_count():
         formulas.line_spectrum_general(lap, 3, 3, 2)  # second value is not 0
     with pytest.raises(ValueError):
         formulas.line_spectrum_general(lap, 3, 4, 1)  # wrong length
+    # Zero means within 64 n eps max(1, max |mu|), 8.5e-13 on this 10-vertex
+    # base: 1e-9, which a fixed 1e-6 let through, is refused, and a solver's 1e-14 is not.
+    lap = [0.0, 1e-9, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0]
+    with pytest.raises(ValueError, match="zero multiplicity"):
+        formulas.line_spectrum_general(lap, 12, 10, 2)
+    lap[1] = 1e-14
+    assert formulas.line_spectrum_general(lap, 12, 10, 2) == sorted([2.0 - v for v in lap[2:]] + [2.0] * 4)
 
 
 def test_line_of_positive_complete_via_general_transform():
@@ -343,9 +350,7 @@ def test_homogeneous_line_spectra_on_a_cycle():
 
 def test_complete_line_spectra_input_validation():
     with pytest.raises(ValueError):
-        spectral_node(parse_family("complete:n=0,sign=+"), line=True)
-    with pytest.raises(ValueError):
-        spectral_node(FamilySpec("complete", {"n": 4, "sign": 0}), line=True)
+        LineNode(spectral_node(parse_family("complete:n=0,sign=+")))
 
 
 # --- the paper's displays, as corrected (README, "Verification findings") ---
@@ -428,9 +433,8 @@ PAPER_DISPLAYS = [
     ids=[f"{display}-{text}{'-line' if line else ''}" for display, text, line, _, _ in PAPER_DISPLAYS],
 )
 def test_paper_display(display, text, line, formula, args):
-    spec = parse_family(text)
-    node = spectral_node(spec, line)
-    g = spectral_node(spec).graph
+    node = _node(text, line)
+    g = spectral_node(parse_family(text)).graph
     dense = spectral_node(line_graph(g).graph if line else g)
     for field, want in formula(*args).items():
         for route, got in (("structured", getattr(node, field)), ("dense", getattr(dense, field))):

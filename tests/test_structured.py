@@ -68,11 +68,11 @@ def _assert_nodes_agree(node, fresh, built, label: str):
 
 def test_structured_reports_equal_dense_reports_of_built_graphs():
     for text in FAMILIES:
-        spec = parse_family(text)
-        g = spectral_node(spec).graph
-        for line in (False, True):
-            built = line_graph(g).graph if line else g
-            _assert_nodes_agree(spectral_node(spec, line), spectral_node(spec, line), built, f"{text} line={line}")
+        leaves = parse_family(text)
+        g = spectral_node(leaves).graph
+        _assert_nodes_agree(spectral_node(leaves), spectral_node(leaves), g, f"{text} line=False")
+        lg = line_graph(g).graph
+        _assert_nodes_agree(LineNode(spectral_node(leaves)), LineNode(spectral_node(leaves)), lg, f"{text} line=True")
 
 
 LINE_CASE_MAX_EDGES = 400  # the dense reference solves the line graph, one order per product edge
@@ -120,7 +120,7 @@ def test_line_of_a_file_keeps_every_graph_an_edge_array(n):
     relabelled and lined without deriving the edge triples of any graph."""
     text = dumps(SignedGraph(n, ((0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, -1), (1, 3, 1))))
     g = loads(text)
-    node = spectral_node(g, line=True)
+    node = LineNode(spectral_node(g))
     lg = node.graph
     assert (node.base.graph is g) == (n == 4)
     for graph in (g, node.base.graph, lg):
@@ -187,9 +187,9 @@ def test_line_of_path_is_the_path_leaf():
     for n in range(1, 65):
         for r in range(n):
             text = f"path:n={n},r={r}"
-            node = spectral_node(parse_family(text), line=True)
+            node = LineNode(spectral_node(parse_family(text)))
             assert node.laplacian_rule == ("path" if n >= 3 else "regular"), text
-            _assert_nodes_agree(node, spectral_node(parse_family(text), line=True), line_graph(path(n, r)).graph, text)
+            _assert_nodes_agree(node, LineNode(spectral_node(parse_family(text))), line_graph(path(n, r)).graph, text)
 
 
 def test_product_spectrum_command_equals_the_built_product(tmp_path, capsys):
@@ -248,12 +248,30 @@ def test_rules_answer_without_a_solve(monkeypatch, capsys, argv):
     assert captured.out
 
 
+@pytest.mark.parametrize("text", ["complete:n=1", "path:n=1", "grid:m=1,n=1"])
+def test_line_of_an_edgeless_family_answers_without_a_build(monkeypatch, capsys, text):
+    """The line graph of a graph with no edge has no vertex, so it is regular
+    of degree 0 and its Laplacian comes from that rule: nothing is built."""
+    from signet import linegraph, products
+
+    def fail(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(products, "neps", fail)
+    monkeypatch.setattr(linegraph, "line_graph", fail)
+    assert main(["spectrum", "--family", text, "--line"]) == 0
+    empty = {"spectrum": [], "laplacian_spectrum": [], "energy": 0.0, "laplacian_energy": 0.0}
+    balance = {"b": 0, "c": 0, "c_b": 0, "balanced": True}
+    assert capsys.readouterr().out == json.dumps({**empty, "balance": balance}) + "\n"
+
+
 def test_family_csv_prints_the_structured_spectrum(capsys):
     for text, line in (("grid:m=3,r1=1,n=4,r2=2", False), ("cylinder:m=4,r1=1,n=3,r2=0", True)):
         code = main(["spectrum", "--family", text, "--csv"] + (["--line"] if line else []))
         out = capsys.readouterr().out
         assert code == 0
-        want = spectral_node(parse_family(text), line).adjacency
+        node = spectral_node(parse_family(text))
+        want = (LineNode(node) if line else node).adjacency
         assert out.splitlines() == ["%.12g" % v for v in want]
 
 

@@ -161,7 +161,7 @@ def test_public_names_resolve(tracer_module):
             "_Product",
             "_Line",
         },
-        "signet.families": {"build_family"},
+        "signet.families": {"build_family", "FamilySpec", "family_leaves"},
         "signet.graphs": {"ARRAY_MIN_EDGES"},
         "signet.oracle": {
             "eigenvalues_ql",
