@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .families import parse_family
+from .families import _ascii_int, parse_family
 from .graphs import adjacency, dumps, laplacian_from_adjacency, loads, to_json_dict
 from .products import Basis, cartesian_basis, p_sum_basis, tensor_basis
 from .spectra import EigensolverError
@@ -54,10 +54,8 @@ def _parse_basis(text: str, nu: int) -> Basis:
     if text in ("tensor", "strong"):  # strong names the tensor product until it means every pattern
         return tensor_basis(nu)
     if text.startswith("p="):
-        try:
-            p = int(text[2:])
-        except ValueError:
-            raise ValueError(f"bad p-sum basis {text!r}") from None
+        if (p := _ascii_int(text[2:])) is None:
+            raise ValueError(f"bad p-sum basis {text!r}")
         return p_sum_basis(nu, p)
     vectors = []
     for token in text.split(","):
@@ -142,20 +140,19 @@ def cmd_verify(ns) -> int:
         names = [ns.suite]
     else:
         raise ValueError(f"unknown suite {ns.suite!r}, expected one of {sorted(SUITES)} or 'all'")
-    if ns.max_size is not None and ns.max_size < 1:
-        raise ValueError(f"--max must be at least 1, got {ns.max_size}")
+    max_n = None if ns.max_size is None else _ascii_int(ns.max_size)
+    if ns.max_size is not None and (max_n is None or max_n < 1):
+        raise ValueError(f"--max must be a positive integer, got {ns.max_size}")
     text, source = ns.seed, "--seed"
     if text is None and os.environ.get("SIGNET_SEED"):
         text, source = os.environ["SIGNET_SEED"], "SIGNET_SEED"
-    try:
-        seed = None if text is None else int(text)
-        if seed is not None and seed < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{source} must be a nonnegative integer, got {text!r}") from None
+    seed = None if text is None else _ascii_int(text)
+    if text is not None and (seed is None or seed < 0):
+        shown = text if source == "--seed" else repr(text)  # the environment's text in quotes
+        raise ValueError(f"{source} must be a nonnegative integer, got {shown}")
     failed = False
     for name in names:
-        result = run_suite(name, max_n=ns.max_size, seed=seed)
+        result = run_suite(name, max_n=max_n, seed=seed)
         print(f"{result.name}: {result.checks} checks, {len(result.failures)} failures")
         for message in result.failures[:10]:
             print(f"  FAIL {message}")
@@ -220,9 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run property suites")
     pv.add_argument("suite", help=f"one of {', '.join(sorted(SUITES))}, or all")
-    pv.add_argument("--max", dest="max_size", type=int, default=None, help="size cap for suite instances")
+    pv.add_argument("--max", dest="max_size", default=None, help="size cap for suite instances")
     seed_help = "RNG seed (default: SIGNET_SEED or built-in); closed-forms checks every family up to --max and ignores it"
-    pv.add_argument("--seed", type=int, default=None, help=seed_help)
+    pv.add_argument("--seed", default=None, help=seed_help)
     pv.set_defaults(func=cmd_verify)
     return parser
 

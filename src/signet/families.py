@@ -2,8 +2,8 @@
 
 Paths and cycles take a count r of negative edges, placed on the first r
 edges in traversal order v0v1, v1v2, ...  Grids, cylinders and tori are
-Cartesian products of two paths, a cycle and a path, and two cycles; only
-the parities of the r values affect spectra and balance.
+Cartesian products of two paths, a cycle and a path, and two cycles, given
+as two leaves by :func:`parse_family`; only the parities of r matter.
 """
 
 from __future__ import annotations
@@ -12,15 +12,11 @@ import itertools
 import operator
 
 from .graphs import SignedGraph
-from .products import cartesian
 
 __all__ = [
     "path",
     "cycle",
     "complete",
-    "grid",
-    "cylinder",
-    "torus",
     "random_signed_graph",
     "parse_family",
 ]
@@ -81,21 +77,6 @@ def complete(n: int, sign: int = 1) -> SignedGraph:
     return SignedGraph(n, edges)
 
 
-def grid(m: int, r1: int, n: int, r2: int) -> SignedGraph:
-    """Cartesian product of path(m, r1) and path(n, r2)."""
-    return cartesian([path(m, r1), path(n, r2)])
-
-
-def cylinder(m: int, r1: int, n: int, r2: int) -> SignedGraph:
-    """Cartesian product of cycle(m, r1) and path(n, r2)."""
-    return cartesian([cycle(m, r1), path(n, r2)])
-
-
-def torus(m: int, r1: int, n: int, r2: int) -> SignedGraph:
-    """Cartesian product of cycle(m, r1) and cycle(n, r2)."""
-    return cartesian([cycle(m, r1), cycle(n, r2)])
-
-
 def random_signed_graph(rng, n: int, p: float) -> SignedGraph:
     """Seeded uniform model: each pair u < v, in lexicographic order, is an
     edge when a double falls below p, and is then positive when the next one
@@ -135,6 +116,11 @@ _PRODUCT_LEAVES = {"grid": ("path", "path"), "cylinder": ("cycle", "path"), "tor
 _SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
 
+def _ascii_int(text: str) -> int | None:
+    """The integer of an optional ``-`` then ASCII digits 0-9, the CLI's one integer syntax; None for other text."""
+    return int(text) if text.isascii() and text.removeprefix("-").isdigit() else None
+
+
 def parse_family(text: str) -> tuple[tuple[str, int, int], ...]:
     """The validated leaves ``(kind, n, r or sign)`` of a family string,
     whose Cartesian product is the family's graph: one leaf for path, cycle
@@ -168,11 +154,10 @@ def parse_family(text: str) -> tuple[tuple[str, int, int], ...]:
                 if value not in _SIGNS:
                     raise ValueError(f"bad sign value {value!r}, expected + or -")
                 params[key] = _SIGNS[value]
+            elif (number := _ascii_int(value)) is None:
+                raise ValueError(f"family key {key!r} needs an integer, got {value!r}")
             else:
-                try:
-                    params[key] = int(value)
-                except ValueError:
-                    raise ValueError(f"family key {key!r} needs an integer, got {value!r}") from None
+                params[key] = number
     for _, (size, _) in slots:
         if size not in params:
             raise ValueError(f"family {kind!r} is missing key {size!r}")

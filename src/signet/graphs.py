@@ -23,7 +23,6 @@ __all__ = [
     "BalanceReport",
     "adjacency",
     "degrees",
-    "degree_matrix",
     "laplacian",
     "laplacian_from_adjacency",
     "incidence",
@@ -240,18 +239,8 @@ def _adjacency_of_rows(n: int, rows: np.ndarray) -> np.ndarray:
 
 
 def degrees(g: SignedGraph) -> np.ndarray:
-    """Unsigned vertex degrees, counted from the form the graph was built from."""
-    if g.from_array:
-        return np.bincount(g.edge_array[:, :2].ravel(), minlength=g.n)
-    d = [0] * g.n
-    for u, v, _ in g.edges:
-        d[u] += 1
-        d[v] += 1
-    return np.array(d, dtype=np.int64)
-
-
-def degree_matrix(g: SignedGraph) -> np.ndarray:
-    return np.diag(degrees(g))
+    """Unsigned vertex degrees, counted over the edge array."""
+    return np.bincount(g.edge_array[:, :2].ravel(), minlength=g.n)
 
 
 def laplacian_from_adjacency(a: np.ndarray) -> np.ndarray:
@@ -540,8 +529,15 @@ _CANONICAL_DOCUMENT = re.compile(
 )
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object of a graph document, which may not name a key twice."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ValueError("graph document names a key twice")
+    return obj
+
+
 def loads(text: str) -> SignedGraph:
-    """The graph of a JSON document, as ``from_json_dict(json.loads(text))``.
+    """The graph of a JSON document that names no key twice, as ``from_json_dict(json.loads(text))``.
 
     Canonical text, the text :func:`dumps` writes for the edges in any
     order, is read with no per-edge Python work: one pattern matches the
@@ -552,7 +548,7 @@ def loads(text: str) -> SignedGraph:
     holds the values the JSON route would parse.  The graph then checks
     and keeps the array.  Any other text goes through :mod:`json` and
     :func:`from_json_dict`, so both routes accept the same documents with
-    the same messages.
+    the same messages.  (A canonical document cannot repeat a key.)
     """
     match = _CANONICAL_DOCUMENT.fullmatch(text)
     if match:
@@ -568,7 +564,7 @@ def loads(text: str) -> SignedGraph:
         if a is not None and _edge_list(a) == edges:
             return SignedGraph(int(n), a)
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_json_object)
     except RecursionError:
         raise ValueError("graph document is nested too deeply") from None
     return from_json_dict(obj)

@@ -363,8 +363,6 @@ def _without_isolated(g: graphs.SignedGraph) -> graphs.SignedGraph:
         edges = g.edge_array
     except ValueError:
         index = {x: i for i, x in enumerate(sorted({x for u, v, _ in g.edges for x in (u, v)}))}
-        if len(index) == g.n:
-            return g
         return graphs.SignedGraph(len(index), tuple((index[u], index[v], s) for u, v, s in g.edges))
     ends = np.unique(edges[:, :2])
     if len(ends) == g.n:

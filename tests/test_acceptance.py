@@ -23,7 +23,6 @@ from signet.families import (
     cycle,
     parse_family,
     random_signed_graph,
-    torus,
 )
 from signet.graphs import (
     adjacency,
@@ -304,7 +303,7 @@ def test_criterion_08_balance_multiplicativity():
 def test_criterion_09_regular_energy_ladder():
     instances = [cycle(n, r) for n in range(3, 9) for r in range(n + 1)]
     instances += [
-        torus(m, r1, n, r2)
+        cartesian([cycle(m, r1), cycle(n, r2)])
         for m in (3, 4, 5, 6)
         for n in (3, 4, 5, 6)
         for r1 in (0, 1)

@@ -12,15 +12,12 @@ from signet import verify
 from signet.families import (
     complete,
     cycle,
-    cylinder,
-    grid,
     parse_family,
     path,
     random_signed_graph,
-    torus,
 )
 from signet.graphs import SignedGraph, balance_report
-from signet.products import Basis
+from signet.products import Basis, cartesian
 from signet.structured import spectral_node
 
 
@@ -53,7 +50,7 @@ def test_path_spectrum_is_signature_independent():
 
 
 def test_grid_is_positive_square():
-    g = grid(2, 0, 2, 0)
+    g = cartesian([path(2, 0), path(2, 0)])
     assert g.n == 4 and g.m == 4
     assert all(s == 1 for _, _, s in g.edges)
     degs = [0] * 4
@@ -68,7 +65,7 @@ def test_grid_is_positive_square():
 
 def test_grid_negative_edge_count():
     for m, r1, n, r2 in ((3, 1, 4, 2), (2, 0, 5, 3), (4, 3, 3, 0)):
-        g = grid(m, r1, n, r2)
+        g = cartesian([path(m, r1), path(n, r2)])
         negatives = sum(1 for _, _, s in g.edges if s == -1)
         assert negatives == n * r1 + m * r2
 
@@ -77,16 +74,16 @@ def test_cylinder_balance_follows_circle_parity():
     for m in (3, 4, 5):
         for r1 in range(m + 1):
             for r2 in (0, 1):
-                g = cylinder(m, r1, 3, r2)
+                g = cartesian([cycle(m, r1), path(3, r2)])
                 assert balance_report(g).balanced == (r1 % 2 == 0)
 
 
 def test_torus_balance_needs_both_parities_even():
     for r1 in (0, 1, 2):
         for r2 in (0, 1, 2):
-            g = torus(3, r1, 4, r2)
+            g = cartesian([cycle(3, r1), cycle(4, r2)])
             assert balance_report(g).balanced == (r1 % 2 == 0 and r2 % 2 == 0)
-    assert not balance_report(torus(3, 1, 3, 0)).balanced
+    assert not balance_report(cartesian([cycle(3, 1), cycle(3, 0)])).balanced
 
 
 def test_balance_parity_rules_full_sweep():
@@ -94,11 +91,11 @@ def test_balance_parity_rules_full_sweep():
         for n in range(1, 7):
             for r1 in range(m):
                 for r2 in range(n):
-                    assert balance_report(grid(m, r1, n, r2)).balanced
+                    assert balance_report(cartesian([path(m, r1), path(n, r2)])).balanced
     for m in range(3, 7):
         for n in range(1, 7):
             for r1 in range(m + 1):
-                assert balance_report(cylinder(m, r1, n, 0)).balanced == (r1 % 2 == 0)
+                assert balance_report(cartesian([cycle(m, r1), path(n, 0)])).balanced == (r1 % 2 == 0)
 
 
 def test_random_generator_is_deterministic():
@@ -171,10 +168,10 @@ def test_verify_draws_match_their_choice_and_ndindex_forms():
 def test_parse_family_strings():
     assert parse_family("path:n=5,r=2") == (("path", 5, 2),)
     assert parse_family("complete:n=4,sign=-") == (("complete", 4, -1),)
-    assert spectral_node(parse_family("torus:m=4,r1=1,n=5,r2=0")).graph == torus(4, 1, 5, 0)
+    assert spectral_node(parse_family("torus:m=4,r1=1,n=5,r2=0")).graph == cartesian([cycle(4, 1), cycle(5, 0)])
     assert spectral_node(parse_family("cycle:n=6")).graph == cycle(6, 0)
     assert spectral_node(parse_family("complete:n=3,sign=+1")).graph == complete(3, 1)
-    assert spectral_node(parse_family("cylinder:m=3,r1=1,n=4,r2=2")).graph == cylinder(3, 1, 4, 2)
+    assert spectral_node(parse_family("cylinder:m=3,r1=1,n=4,r2=2")).graph == cartesian([cycle(3, 1), path(4, 2)])
 
 
 def test_parse_family_rejects_bad_strings():
@@ -185,6 +182,11 @@ def test_parse_family_rejects_bad_strings():
         "path:n=3,n=4",  # duplicate key
         "path:r=1",  # missing required n
         "path:n=x",  # malformed integer
+        "path:n=1_0",  # integers are an optional - then ASCII digits only
+        "path:n=+3",
+        "path:n=\u0663",  # ARABIC-INDIC DIGIT THREE
+        "path:n=3\u00b2",  # SUPERSCRIPT TWO
+        "path:n=-",
         "complete:n=3,sign=0",  # bad sign token
         "grid:m=2,n=2,r1=0,r2=0,extra=1",
     ):
@@ -194,5 +196,5 @@ def test_parse_family_rejects_bad_strings():
 
 def test_family_defaults():
     assert spectral_node(parse_family("path:n=4")).graph == path(4, 0)
-    assert spectral_node(parse_family("grid:m=2,n=3")).graph == grid(2, 0, 3, 0)
+    assert spectral_node(parse_family("grid:m=2,n=3")).graph == cartesian([path(2, 0), path(3, 0)])
     assert spectral_node(parse_family("complete:n=5")).graph == complete(5, 1)

@@ -12,15 +12,13 @@ from signet import formulas
 from signet.families import (
     complete,
     cycle,
-    cylinder,
-    grid,
     parse_family,
     path,
     random_signed_graph,
-    torus,
 )
 from signet.graphs import SignedGraph, balance_report, negate
 from signet.linegraph import line_graph
+from signet.products import cartesian
 from signet.spectra import energy_from_spectrum
 from signet.structured import LeafNode, LineNode, spectral_node
 
@@ -106,7 +104,7 @@ def test_grid_formula_values_and_energies():
         node = _node(f"grid:m={m},n={n}")
         for r1 in range(m):
             for r2 in range(n):
-                g = grid(m, r1, n, r2)
+                g = cartesian([path(m, r1), path(n, r2)])
                 assert_multiset_close(spectral_node(g).adjacency, node.adjacency)
                 assert_multiset_close(spectral_node(g).laplacian, node.laplacian)
                 assert spectral_node(g).energy == pytest.approx(node.energy, abs=1e-7)
@@ -124,7 +122,7 @@ def test_cylinder_formula_matches_solver():
                 for r2 in (0, 1):
                     if r2 > n - 1:
                         continue
-                    g = cylinder(m, r1, n, r2)
+                    g = cartesian([cycle(m, r1), path(n, r2)])
                     assert_multiset_close(spectral_node(g).adjacency, node.adjacency)
                     assert_multiset_close(spectral_node(g).laplacian, node.laplacian)
                     assert spectral_node(g).energy == pytest.approx(node.energy, abs=1e-7)
@@ -139,7 +137,7 @@ def test_torus_formula_and_regular_energy_identity():
             for r1 in (0, 1):
                 for r2 in (0, 1):
                     node = _node(f"torus:m={m},r1={r1},n={n},r2={r2}")
-                    g = torus(m, r1, n, r2)
+                    g = cartesian([cycle(m, r1), cycle(n, r2)])
                     assert_multiset_close(spectral_node(g).adjacency, node.adjacency)
                     assert_multiset_close(spectral_node(g).laplacian, node.laplacian)
                     assert node.energy == pytest.approx(node.laplacian_energy, abs=1e-10)
@@ -182,6 +180,9 @@ def test_line_spectrum_general_validates_kernel_count():
         formulas.line_spectrum_general(lap, 3, 3, 2)  # second value is not 0
     with pytest.raises(ValueError):
         formulas.line_spectrum_general(lap, 3, 4, 1)  # wrong length
+    for b in (-1, 4):
+        with pytest.raises(ValueError, match=f"^balanced component count b={b} out of range$"):
+            formulas.line_spectrum_general(lap, 3, 3, b)
     # Zero means within 64 n eps max(1, max |mu|), 8.5e-13 on this 10-vertex
     # base: 1e-9, which a fixed 1e-6 let through, is refused, and a solver's 1e-14 is not.
     lap = [0.0, 1e-9, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0]
@@ -254,7 +255,7 @@ def test_regular_transform_energy_equals_laplacian_energy():
 def test_cartesian_line_transform_on_grids():
     for m, n in ((2, 2), (3, 4), (5, 5), (1, 5), (6, 2)):
         res = _node(f"grid:m={m},n={n}", True)
-        lg = line_graph(grid(m, 0, n, 0)).graph
+        lg = line_graph(cartesian([path(m, 0), path(n, 0)])).graph
         assert_multiset_close(res.adjacency, spectral_node(lg).adjacency, tol=1e-7)
         assert res.energy == pytest.approx(spectral_node(lg).energy, abs=1e-7)
     # the 2 x 2 case closes the loop: the grid is C_4, its line graph is
@@ -267,7 +268,7 @@ def test_cartesian_line_transform_on_cylinders():
         for n in (1, 2, 4):
             for r1 in (0, 1):
                 res = _node(f"cylinder:m={m},r1={r1},n={n}", True)
-                lg = line_graph(cylinder(m, r1, n, 0)).graph
+                lg = line_graph(cartesian([cycle(m, r1), path(n, 0)])).graph
                 assert_multiset_close(
                     res.adjacency, spectral_node(lg).adjacency, tol=1e-7
                 )
@@ -277,7 +278,7 @@ def test_cartesian_line_transform_on_cylinders():
 def test_torus_line_spectra():
     for m, r1, n, r2 in ((3, 0, 3, 0), (3, 1, 3, 0), (4, 1, 3, 1), (4, 0, 5, 1)):
         res = _node(f"torus:m={m},r1={r1},n={n},r2={r2}", True)
-        lg = line_graph(torus(m, r1, n, r2)).graph
+        lg = line_graph(cartesian([cycle(m, r1), cycle(n, r2)])).graph
         assert lg.n == 2 * m * n
         assert_multiset_close(res.adjacency, spectral_node(lg).adjacency, tol=1e-7)
         assert_multiset_close(res.laplacian, spectral_node(lg).laplacian, tol=1e-7)

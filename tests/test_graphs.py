@@ -21,7 +21,6 @@ from signet.graphs import (
     SignedGraph,
     adjacency,
     balance_report,
-    degree_matrix,
     degrees,
     disjoint_union,
     dumps,
@@ -81,6 +80,8 @@ def test_rejects_bad_edges(in_form):
             SignedGraph(3, in_form(edges))
     with pytest.raises(ValueError):
         SignedGraph(-1)
+    with pytest.raises(ValueError, match="^vertex count must be an integer, got 'x'$"):
+        SignedGraph("x")
 
 
 def test_constructor_sorts_any_input_order(in_form):
@@ -209,10 +210,10 @@ def test_adjacency_spectrum_of_signed_five_cycle():
 
 
 def test_degree_matrix_examples():
-    assert np.array_equal(degree_matrix(SignedGraph(3)), np.zeros((3, 3), dtype=np.int64))
-    assert np.array_equal(degree_matrix(path(3, 1)), np.diag([1, 2, 1]))
+    assert np.array_equal(np.diag(degrees(SignedGraph(3))), np.zeros((3, 3), dtype=np.int64))
+    assert np.array_equal(np.diag(degrees(path(3, 1))), np.diag([1, 2, 1]))
     for r in range(5):
-        assert np.array_equal(degree_matrix(cycle(4, r)), 2 * np.eye(4, dtype=np.int64))
+        assert np.array_equal(np.diag(degrees(cycle(4, r))), 2 * np.eye(4, dtype=np.int64))
 
 
 def test_laplacian_single_negative_edge():
@@ -476,8 +477,29 @@ def test_json_reader_rejects_bad_documents():
         {"n": 2, "edges": [], "extra": 1},  # unknown key
         {"n": 2.5, "edges": []},  # non-integer order
         {"n": True, "edges": []},  # bool masquerading as int
+        {"n": 2, "edges": {}},  # edges not a list
+        {"n": 2, "edges": [[0, 1]]},  # a pair, not a triple
+        {"n": 2, "edges": [0]},  # an entry that is not a list
     ):
         _assert_loads_rejects_as_the_dict_reader(doc)
+    with pytest.raises(ValueError, match='^"edges" must be a list$'):
+        from_json_dict({"n": 2, "edges": {}})
+    with pytest.raises(ValueError, match=r"^edge entries must be \[u, v, sign\] triples, got \[0, 1\]$"):
+        from_json_dict({"n": 2, "edges": [[0, 1]]})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 5, "edges": [[0, 1, 1]], "n": 6}',
+        '{"n": 2, "edges": [], "edges": [[0, 1, 1]]}',
+        '{"n": 2, "edges": [], "x": {"a": 1, "a": 1}}',
+    ],
+)
+def test_json_route_refuses_a_repeated_key(text):
+    """json keeps the last of two equal keys; loads refuses the document."""
+    with pytest.raises(ValueError, match="^graph document names a key twice$"):
+        loads(text)
 
 
 @pytest.mark.parametrize(
@@ -498,8 +520,8 @@ def test_json_reader_rejects_non_integer_edge_entries(entry):
 
 
 def _read_both_ways(text):
-    """What ``loads`` and ``from_json_dict(json.loads(text))`` make of text:
-    the graph, or the error's type and message."""
+    """What ``loads`` and ``from_json_dict`` of the :mod:`json` route make of
+    text: the graph, or the error's type and message."""
 
     def outcome(read):
         try:
@@ -507,7 +529,7 @@ def _read_both_ways(text):
         except ValueError as exc:
             return type(exc).__name__, str(exc)
 
-    return outcome(loads), outcome(lambda t: from_json_dict(json.loads(t)))
+    return outcome(loads), outcome(lambda t: from_json_dict(json.loads(t, object_pairs_hook=graph_module._json_object)))
 
 
 # A sorted 40-edge list, long enough to be kept as an array.
@@ -573,10 +595,10 @@ def test_fast_reader_agrees_with_the_json_route(text, canonical, monkeypatch):
     """Canonical text is read without :mod:`json`; every text gives the same
     graph or the same error either way."""
     parsed = []
-    monkeypatch.setattr(graph_module, "json", SimpleNamespace(loads=lambda t: parsed.append(t) or json.loads(t)))
+    monkeypatch.setattr(graph_module, "json", SimpleNamespace(loads=lambda t, **kw: parsed.append(t) or json.loads(t, **kw)))
     fast, slow = _read_both_ways(text)
     assert fast == slow
-    assert not parsed == canonical
+    assert (not parsed) == canonical
     if canonical and isinstance(fast, SignedGraph):
         assert fast.from_array
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import TEST_SEED, assert_multiset_close, multiplicity_of
 
-from signet.families import complete, cycle, path, random_signed_graph, torus
+from signet.families import complete, cycle, path, random_signed_graph
 from signet.graphs import (
     SignedGraph,
     adjacency,
@@ -19,8 +19,10 @@ from signet.graphs import (
     negate,
 )
 from signet.linegraph import line_graph
+from signet.products import cartesian
 from signet.spectra import eigenvalues, energy_from_spectrum, laplacian_energy_from_spectrum
 from signet.structured import spectral_node
+from signet.verify import multiset_gap
 
 
 # --- solver behaviour -------------------------------------------------------
@@ -125,8 +127,6 @@ def test_line_graph_of_complete_five_energy():
 
 
 def test_two_by_two_grid_energy_is_four():
-    from signet.products import cartesian
-
     for r1 in (0, 1):
         for r2 in (0, 1):
             g = cartesian([path(2, r1), path(2, r2)])
@@ -137,13 +137,13 @@ def test_two_by_two_grid_energy_is_four():
 
 
 def test_regular_graphs_have_equal_energies():
-    cases = [cycle(6, 1), cycle(5, 0), complete(5, -1), torus(3, 1, 3, 0)]
+    cases = [cycle(6, 1), cycle(5, 0), complete(5, -1), cartesian([cycle(3, 1), cycle(3, 0)])]
     for g in cases:
         assert spectral_node(g).laplacian_energy == pytest.approx(spectral_node(g).energy, abs=1e-7)
 
 
 def test_toroidal_energy_matches_cosine_double_sum():
-    g = torus(3, 1, 3, 0)
+    g = cartesian([cycle(3, 1), cycle(3, 0)])
     total = 0.0
     for i in range(1, 4):
         for j in range(1, 4):
@@ -159,7 +159,7 @@ def test_regular_spectrum_ladder():
     # Laplacian spectrum is k minus the adjacency spectrum.
     cases = [cycle(n, r) for n in range(3, 8) for r in range(n + 1)]
     cases += [complete(n, s) for n in range(2, 7) for s in (1, -1)]
-    cases += [torus(3, r1, 4, r2) for r1 in (0, 1) for r2 in (0, 1)]
+    cases += [cartesian([cycle(3, r1), cycle(4, r2)]) for r1 in (0, 1) for r2 in (0, 1)]
     for g in cases:
         k = int(degrees(g)[0])
         spec = spectral_node(g).adjacency
@@ -177,6 +177,11 @@ def test_multiplicity_counting():
     assert multiplicity_of([1.0, 1.0000004, 2.0], 1.0, 1e-6) == 2
     with pytest.raises(ValueError):
         multiplicity_of([1.0], 1.0, 0.0)
+    # multiset_gap matches in sorted order: inf for unequal sizes, NaN for a NaN, 0 for two empty multisets.
+    assert multiset_gap([2.0, 1.0], [1.0, 2.5]) == 0.5
+    assert multiset_gap([1.0], [1.0, 1.0]) == math.inf
+    assert math.isnan(multiset_gap([1.0, math.nan], [1.0, 2.0]))
+    assert multiset_gap([], []) == 0.0
 
 
 def test_multiplicity_of_two_in_line_of_complete_four():

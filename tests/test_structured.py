@@ -333,6 +333,10 @@ def test_large_torus_answers_without_building(capsys):
         ("grid:m=2,n=0", "path needs n >= 1"),
         ("grid:n=3", "family 'grid' is missing key 'm'"),
         ("torus:m=3,r1=4,n=2", "negative edge count r=4 out of range 0..3"),
+        ("path:n=1_0", "family key 'n' needs an integer, got '1_0'"),
+        ("path:n=+3", "family key 'n' needs an integer, got '+3'"),
+        ("path:n=\u0663", "family key 'n' needs an integer, got '\u0663'"),
+        ("path:n=\uff13", "family key 'n' needs an integer, got '\uff13'"),
     ],
 )
 def test_invalid_family_strings_exit_two(capsys, text, message):

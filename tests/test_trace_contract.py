@@ -161,8 +161,9 @@ def test_public_names_resolve(tracer_module):
             "_Product",
             "_Line",
         },
-        "signet.families": {"build_family", "FamilySpec", "family_leaves"},
-        "signet.graphs": {"ARRAY_MIN_EDGES"},
+        # cartesian: families builds leaves only and no longer imports products.
+        "signet.families": {"build_family", "FamilySpec", "family_leaves", "grid", "cylinder", "torus", "cartesian"},
+        "signet.graphs": {"ARRAY_MIN_EDGES", "degree_matrix"},
         "signet.oracle": {
             "eigenvalues_ql",
             "_householder_tridiagonalize",
