@@ -30,7 +30,7 @@ from .graphs import adjacency, dumps, laplacian_from_adjacency, loads, to_json_d
 from .products import Basis, cartesian_basis, p_sum_basis, tensor_basis
 from .spectra import EigensolverError
 from .structured import LineNode, ProductNode, SpectralNode, spectral_node
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 __all__ = ["main"]
 
@@ -142,21 +142,22 @@ def cmd_verify(ns) -> int:
         raise ValueError(f"unknown suite {ns.suite!r}, expected one of {sorted(SUITES)} or 'all'")
     max_n = None if ns.max_size is None else _ascii_int(ns.max_size)
     if ns.max_size is not None and (max_n is None or max_n < 1):
-        raise ValueError(f"--max must be a positive integer, got {ns.max_size}")
+        raise ValueError(f"--max must be a positive integer, got {ns.max_size!r}")
     text, source = ns.seed, "--seed"
     if text is None and os.environ.get("SIGNET_SEED"):
         text, source = os.environ["SIGNET_SEED"], "SIGNET_SEED"
     seed = None if text is None else _ascii_int(text)
     if text is not None and (seed is None or seed < 0):
-        shown = text if source == "--seed" else repr(text)  # the environment's text in quotes
-        raise ValueError(f"{source} must be a nonnegative integer, got {shown}")
+        raise ValueError(f"{source} must be a nonnegative integer, got {text!r}")
+    # A value not given is left to the suite's own default.
+    kwargs = {key: value for key, value in (("max_n", max_n), ("seed", seed)) if value is not None}
     failed = False
     for name in names:
-        result = run_suite(name, max_n=max_n, seed=seed)
-        print(f"{result.name}: {result.checks} checks, {len(result.failures)} failures")
+        result = SUITES[name](**kwargs)
+        print(f"{name}: {result.checks} checks, {len(result.failures)} failures")
         for message in result.failures[:10]:
             print(f"  FAIL {message}")
-        failed = failed or not result.ok
+        failed = failed or bool(result.failures)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 

@@ -110,17 +110,16 @@ def neps_sum(spectra: Sequence[Sequence[float]], vectors: Sequence[Sequence[int]
 _ZERO_SCALE = 64
 
 
-def line_spectrum_general(lap_values: Sequence[float], m: int, n: int, b: int) -> list[float]:
+def line_spectrum_general(lap_values: Sequence[float], m: int, b: int) -> list[float]:
     """Line-graph adjacency eigenvalues from the source Laplacian spectrum.
 
-    They are 2 - mu over the n - b positive Laplacian eigenvalues mu,
+    They are 2 - mu over the n - b positive ones of the n values mu given,
     together with 2 repeated m - n + b times, in ascending order.  The count
     m - n + b is never negative: a tree component is balanced and adds
     (n_i - 1) - n_i + 1 = 0, and a component with a cycle has m_i >= n_i.
     """
     lap = sorted(float(v) for v in lap_values)
-    if len(lap) != n:
-        raise ValueError(f"expected {n} Laplacian eigenvalues, got {len(lap)}")
+    n = len(lap)
     if not 0 <= b <= n:
         raise ValueError(f"balanced component count b={b} out of range")
     if b and abs(lap[b - 1]) > _ZERO_SCALE * n * np.finfo(float).eps * max(1.0, -lap[0], lap[-1]):

@@ -420,7 +420,7 @@ class LineNode(SpectralNode):
     @graphs.lazy_field
     def adjacency(self) -> np.ndarray:
         base = self.base
-        return np.asarray(formulas.line_spectrum_general(base.laplacian, base.m, base.n, base.b), dtype=float)
+        return np.asarray(formulas.line_spectrum_general(base.laplacian, base.m, base.b), dtype=float)
 
     def _own_laplacian(self) -> np.ndarray | None:
         return None if self.laplacian_rule == "regular" else self._source.laplacian

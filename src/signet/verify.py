@@ -1,10 +1,10 @@
 """Randomised and exhaustive property suites behind ``signet verify``.
 
-Each suite runs a batch of independent checks and reports how many ran and
-which failed.  All randomness is driven by a caller-supplied seed, so a
-given invocation is exactly reproducible.  Every spectrum and energy a
-suite checks against comes from :func:`signet.structured.spectral_node` of
-the built graph, its dense leaf.
+Each suite, ``SUITES[name](max_n=..., seed=...)``, runs a batch of
+independent checks and reports how many ran and which failed.  All its
+randomness is drawn from the seed, so a call is exactly reproducible.
+Every spectrum and energy a suite checks against comes from
+:func:`signet.structured.spectral_node` of the built graph, its dense leaf.
 
 The suites that solve build their cases in order, with the same draws as one
 case at a time, and check them in batches whose dense fields
@@ -40,7 +40,7 @@ from .oracle import rank_exact
 from .products import Basis, cartesian, kron_sum_over_basis, neps, tensor_basis
 from .structured import DenseNode, LeafNode, LineNode, spectral_node
 
-__all__ = ["SuiteResult", "SUITES", "run_suite", "multiset_gap"]
+__all__ = ["SuiteResult", "SUITES", "multiset_gap"]
 
 DEFAULT_SEED = 0x9E3779B97F4A7C15
 
@@ -49,13 +49,8 @@ _BATCH_ENTRIES = 2**15  # matrix entries a batch of cases gathers before its sta
 
 @dataclass
 class SuiteResult:
-    name: str
     checks: int = 0
     failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def record(self, passed: bool, message: str):
         self.checks += 1
@@ -100,7 +95,7 @@ def _solved_in_batches(cases):
 def kirchhoff_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """incidence @ incidence.T equals the Laplacian, exactly, in integers."""
     rng = np.random.default_rng(seed)
-    result = SuiteResult("kirchhoff")
+    result = SuiteResult()
     for i in range(200):
         g = _random_graph(rng, max_n)
         h = incidence(g)
@@ -112,7 +107,7 @@ def kirchhoff_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
 def rank_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Exact rational rank of the Laplacian is n minus balanced components."""
     rng = np.random.default_rng(seed)
-    result = SuiteResult("rank")
+    result = SuiteResult()
     for i in range(200):
         g = _random_graph(rng, max_n)
         rep = balance_report(g)
@@ -127,7 +122,7 @@ def rank_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
 def acharya_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Balanced iff cospectral with the all-positive underlying graph."""
     rng = np.random.default_rng(seed)
-    result = SuiteResult("acharya")
+    result = SuiteResult()
 
     def cases():
         for i in range(200):
@@ -164,7 +159,7 @@ def _random_basis(rng, nu: int) -> Basis:
 def neps_matrix_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Product adjacency equals the Kronecker sum over the basis, exactly."""
     rng = np.random.default_rng(seed)
-    result = SuiteResult("neps-matrix")
+    result = SuiteResult()
     for i in range(100):
         factors = _random_factors(rng, max_n)
         basis = _random_basis(rng, len(factors))
@@ -189,7 +184,7 @@ def energy_bounds_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
     """Per-vertex energy of a product is bounded by the basis sum of factor
     energies; equality for the tensor basis, strict otherwise."""
     rng = np.random.default_rng(seed)
-    result = SuiteResult("energy-bounds")
+    result = SuiteResult()
 
     def cases():
         for i in range(60):
@@ -293,7 +288,7 @@ def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteResult:
 
     It checks every family up to ``max_n`` and draws nothing, so ``seed``
     is not used: every seed gives the same cases and the same output."""
-    result = SuiteResult("closed-forms")
+    result = SuiteResult()
 
     def check(label, node_values, solved):
         result.record(multiset_gap(node_values, solved) <= 1e-8, f"{label}: node != solver")
@@ -332,7 +327,7 @@ def closed_forms_suite(max_n: int = 6, seed: int = DEFAULT_SEED) -> SuiteResult:
 def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Line-graph matrix identity and spectrum reconstruction on random graphs."""
     rng = np.random.default_rng(seed)
-    result = SuiteResult("line-theorems")
+    result = SuiteResult()
 
     def cases():
         for i in range(150):
@@ -349,7 +344,7 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
         result.record(identity_ok, f"graph {i}: A(line) != 2I - H^T H")
         got = lined.adjacency
         try:
-            expected = formulas.line_spectrum_general(base.laplacian, base.m, base.n, base.b)
+            expected = formulas.line_spectrum_general(base.laplacian, base.m, base.b)
             matched = multiset_gap(expected, got) <= 1e-8
             problem = "" if matched else "line spectrum does not match the Laplacian construction"
         except ValueError as exc:
@@ -378,14 +373,3 @@ SUITES = {
     "closed-forms": closed_forms_suite,
     "line-theorems": line_theorems_suite,
 }
-
-
-def run_suite(name: str, max_n: int | None = None, seed: int | None = None) -> SuiteResult:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
-    kwargs = {}
-    if max_n is not None:
-        kwargs["max_n"] = max_n
-    if seed is not None:
-        kwargs["seed"] = seed
-    return SUITES[name](**kwargs)

@@ -215,6 +215,23 @@ def test_reader_closing_the_pipe_early_exits_zero_quietly():
     assert code == 0
 
 
+def test_reader_gone_before_the_flush_exits_zero_in_process(capsys):
+    """The same `BrokenPipeError` branch of `main`, in this interpreter: the
+    answer's flush meets a pipe with no reader, and stdout's descriptor is
+    then pointed at devnull so that closing the stream stays quiet."""
+    read, write = os.pipe()
+    os.close(read)
+    stream, saved = open(write, "w", encoding="utf-8"), sys.stdout
+    sys.stdout = stream
+    try:
+        code = main(["spectrum", "--family", "cycle:n=5", "--csv"])
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+    finally:
+        sys.stdout = saved
+        stream.close()
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
 def test_csv_output(capsys):
     code, out, _ = run(capsys, "spectrum", "--family", "cycle:n=5", "--csv")
     assert code == 0
@@ -494,8 +511,6 @@ def test_product_with_an_endpoint_past_int64_exits_two(tmp_path, capsys, basis):
 
 
 def test_verify_command_runs_suites(capsys):
-    from signet import verify
-
     code, out, _ = run(capsys, "verify", "closed-forms", "--max", "4")
     assert code == 0
     assert "closed-forms:" in out
@@ -504,8 +519,6 @@ def test_verify_command_runs_suites(capsys):
     for cap, checks in (("1", 12), ("2", 46)):
         expected = (0, f"closed-forms: {checks} checks, 0 failures\n", "")
         assert run(capsys, "verify", "closed-forms", "--max", cap) == expected
-    with pytest.raises(ValueError, match="^unknown suite 'nope'"):
-        verify.run_suite("nope")
 
 
 def test_suites_solve_through_the_dense_leaf(monkeypatch, capsys):
@@ -549,7 +562,7 @@ def test_suites_solve_each_matrix_once_in_stacks(monkeypatch, suite, seed, check
         return solve(matrix)
 
     monkeypatch.setattr(spectra, "eigenvalues", recording)
-    result = verify.run_suite(suite, seed=seed)
+    result = verify.SUITES[suite](seed=verify.DEFAULT_SEED if seed is None else seed)
     assert (result.checks, result.failures) == (checks, [])
     assert sum(rows) == matrices
     assert 4 * len(calls) <= matrices
@@ -618,7 +631,7 @@ def test_closed_forms_suite_keeps_no_spectra_across_checks():
 
     tracemalloc.start()
     try:
-        assert verify.closed_forms_suite(max_n=8).ok
+        assert not verify.closed_forms_suite(max_n=8).failures
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -667,7 +680,7 @@ def test_closed_forms_suite_fails_on_a_wrong_cycle_form(monkeypatch, capsys):
 def test_suites_record_what_the_line_rule_refuses(monkeypatch, capsys, suite, fail):
     # Both suites check formulas.line_spectrum_general, the rule behind
     # `spectrum --line`; a refusal is a failed check, not bad input.
-    def refuse(lap_values, m, n, b):
+    def refuse(lap_values, m, b):
         raise ValueError("Laplacian zero multiplicity does not match b")
 
     monkeypatch.setattr(formulas, "line_spectrum_general", refuse)
@@ -704,12 +717,14 @@ def test_verify_honours_seed_flag(capsys):
 @pytest.mark.parametrize(
     "argv, env, message",
     [
-        (["--seed", "-1"], None, "--seed must be a nonnegative integer, got -1"),
+        (["--seed", "-1"], None, "--seed must be a nonnegative integer, got '-1'"),
         ([], "-5", "SIGNET_SEED must be a nonnegative integer, got '-5'"),
         ([], "abc", "SIGNET_SEED must be a nonnegative integer, got 'abc'"),
         ([], "\u0661", "SIGNET_SEED must be a nonnegative integer, got '\u0661'"),
         ([], "1_0", "SIGNET_SEED must be a nonnegative integer, got '1_0'"),
         ([], "+5", "SIGNET_SEED must be a nonnegative integer, got '+5'"),
+        (["--seed", " 5"], None, "--seed must be a nonnegative integer, got ' 5'"),
+        (["--max", " 3"], None, "--max must be a positive integer, got ' 3'"),
     ],
 )
 def test_verify_names_the_source_of_a_bad_seed(monkeypatch, capsys, argv, env, message):

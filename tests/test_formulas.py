@@ -35,6 +35,9 @@ def test_path_spectrum_small_values():
     lap = formulas.path_laplacian_spectrum(6)
     assert min(abs(v) for v in lap) == pytest.approx(0.0, abs=1e-12)
     assert sum(1 for v in lap if v > 1e-9) == 5
+    for form in (formulas.path_spectrum, formulas.path_laplacian_spectrum):
+        with pytest.raises(ValueError, match="^path needs n >= 1$"):
+            form(0)
 
 
 def test_path_formulas_match_solver_all_signatures():
@@ -50,6 +53,8 @@ def test_path_formulas_match_solver_all_signatures():
 def test_cycle_spectrum_small_values():
     assert_multiset_close(formulas.cycle_spectrum(3, 1), [1.0, -2.0, 1.0])
     assert_multiset_close(formulas.cycle_spectrum(4, 0), [2.0, 0.0, -2.0, 0.0])
+    with pytest.raises(ValueError, match="^cycle needs n >= 3$"):
+        formulas.cycle_spectrum(2, 0)
 
 
 def test_cycle_spectrum_depends_only_on_parity():
@@ -152,7 +157,7 @@ def test_torus_formula_and_regular_energy_identity():
 def test_line_spectrum_general_tree_case():
     star = SignedGraph(4, ((0, 1, 1), (0, 2, -1), (0, 3, 1)))
     lap = sorted(spectral_node(star).laplacian)
-    got = formulas.line_spectrum_general(lap, star.m, star.n, 1)
+    got = formulas.line_spectrum_general(lap, star.m, 1)
     # m - n + b = 0: no extra eigenvalue 2 appears
     assert len(got) == star.m
     assert_multiset_close(
@@ -166,7 +171,7 @@ def test_line_spectrum_general_random_graphs():
         g = random_signed_graph(rng, int(rng.integers(1, 8)), 0.5)
         rep = balance_report(g)
         lap = sorted(spectral_node(g).laplacian)
-        got = formulas.line_spectrum_general(lap, g.m, g.n, rep.b)
+        got = formulas.line_spectrum_general(lap, g.m, rep.b)
         want = spectral_node(line_graph(g).graph).adjacency
         assert_multiset_close(got, want, tol=1e-7)
         assert energy_from_spectrum(got) == pytest.approx(
@@ -177,19 +182,17 @@ def test_line_spectrum_general_random_graphs():
 def test_line_spectrum_general_validates_kernel_count():
     lap = [0.0, 2.0, 4.0]
     with pytest.raises(ValueError):
-        formulas.line_spectrum_general(lap, 3, 3, 2)  # second value is not 0
-    with pytest.raises(ValueError):
-        formulas.line_spectrum_general(lap, 3, 4, 1)  # wrong length
+        formulas.line_spectrum_general(lap, 3, 2)  # second value is not 0
     for b in (-1, 4):
         with pytest.raises(ValueError, match=f"^balanced component count b={b} out of range$"):
-            formulas.line_spectrum_general(lap, 3, 3, b)
+            formulas.line_spectrum_general(lap, 3, b)
     # Zero means within 64 n eps max(1, max |mu|), 8.5e-13 on this 10-vertex
     # base: 1e-9, which a fixed 1e-6 let through, is refused, and a solver's 1e-14 is not.
     lap = [0.0, 1e-9, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0]
     with pytest.raises(ValueError, match="zero multiplicity"):
-        formulas.line_spectrum_general(lap, 12, 10, 2)
+        formulas.line_spectrum_general(lap, 12, 2)
     lap[1] = 1e-14
-    assert formulas.line_spectrum_general(lap, 12, 10, 2) == sorted([2.0 - v for v in lap[2:]] + [2.0] * 4)
+    assert formulas.line_spectrum_general(lap, 12, 2) == sorted([2.0 - v for v in lap[2:]] + [2.0] * 4)
 
 
 def test_line_of_positive_complete_via_general_transform():
@@ -198,7 +201,7 @@ def test_line_of_positive_complete_via_general_transform():
     for n in range(3, 8):
         lap = [0.0] + [float(n)] * (n - 1)
         m = n * (n - 1) // 2
-        got = formulas.line_spectrum_general(lap, m, n, 1)
+        got = formulas.line_spectrum_general(lap, m, 1)
         expected = [2.0 - n] * (n - 1) + [2.0] * ((n - 1) * (n - 2) // 2)
         assert_multiset_close(got, expected)
         solver = spectral_node(line_graph(complete(n, 1)).graph).adjacency
@@ -352,6 +355,8 @@ def test_homogeneous_line_spectra_on_a_cycle():
 def test_complete_line_spectra_input_validation():
     with pytest.raises(ValueError):
         LineNode(spectral_node(parse_family("complete:n=0,sign=+")))
+    with pytest.raises(ValueError, match="^complete graph needs n >= 1$"):
+        formulas.complete_spectrum(0, 1)
 
 
 # --- the paper's displays, as corrected (README, "Verification findings") ---

@@ -70,6 +70,10 @@ def test_basis_validation():
         Basis(2, ((1, 0, 1), (0, 1, 0)))  # wrong arity
     with pytest.raises(ValueError):
         Basis(2, ((1, 2), (1, 1)))  # non-binary entry
+    with pytest.raises(ValueError, match="^basis arity must be at least 1$"):
+        Basis(0, ())
+    with pytest.raises(ValueError, match="^basis must contain at least one pattern$"):
+        Basis(2, ())
 
 
 def test_standard_bases():
@@ -436,6 +440,10 @@ def test_errors():
         neps([], Basis(1, ((1,),)))
     with pytest.raises(ValueError):
         neps([path(2, 0)], cartesian_basis(2))
+    with pytest.raises(ValueError, match="^basis arity 2 does not match 1 matrices$"):
+        kron_sum_over_basis([adjacency(path(2, 0))], cartesian_basis(2))
+    with pytest.raises(ValueError, match="^all matrices must be square$"):
+        kron_sum_over_basis([np.ones((2, 3))], Basis(1, ((1,),)))
 
 
 # --- disjoint unions ------------------------------------------------------------

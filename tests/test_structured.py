@@ -224,6 +224,9 @@ def test_spectrum_basis_needs_matching_inputs(capsys):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert captured.out == "" and captured.err.startswith("signet: "), argv
+    # The CLI takes the basis arity from its inputs; a library caller can pass a mismatch.
+    with pytest.raises(ValueError, match="^basis arity 2 does not match 1 factors$"):
+        ProductNode(cartesian_basis(2), [spectral_node(path(3, 0))])
 
 
 @pytest.mark.parametrize(
