@@ -80,11 +80,16 @@ def complete(n: int, sign: int = 1) -> SignedGraph:
 def random_signed_graph(rng, n: int, p: float) -> SignedGraph:
     """Seeded uniform model: each pair u < v, in lexicographic order, is an
     edge when a double falls below p, and is then positive when the next one
-    falls below 0.5.  The stream is one ``rng.random()`` per decision, drawn
-    in blocks: ``rng.random(k)`` with k the doubles still certain to be used
-    (the pairs left, plus one when a sign is due), so no call draws past the
-    last decision, whatever the bit generator.  Used by the test corpus and
-    the verify suites."""
+    falls below 0.5.  Used by the test corpus and the verify suites."""
+    return SignedGraph(n, _random_edges(rng, n, p))
+
+
+def _random_edges(rng, n: int, p: float) -> list[tuple[int, int, int]]:
+    """The edges of :func:`random_signed_graph`, in canonical order.  The
+    stream is one ``rng.random()`` per decision, drawn in blocks:
+    ``rng.random(k)`` with k the doubles still certain to be used (the pairs
+    left, plus one when a sign is due), so no call draws past the last
+    decision, whatever the bit generator."""
     pairs = list(itertools.combinations(range(n), 2))
     edges, i, due = [], 0, None
     while i < len(pairs) or due:
@@ -95,7 +100,7 @@ def random_signed_graph(rng, n: int, p: float) -> SignedGraph:
             else:
                 due = pairs[i] if x < p else None
                 i += 1
-    return SignedGraph(n, tuple(edges))
+    return edges
 
 
 # ---------------------------------------------------------------------------

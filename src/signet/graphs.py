@@ -3,7 +3,9 @@
 A signed graph is a simple loop-free graph in which every edge carries a
 sign +1 or -1.  The sign of a cycle is the product of its edge signs, and a
 graph is balanced when every cycle is positive, equivalently when some
-vertex switching makes all edges positive.
+vertex switching makes all edges positive.  A graph is stored as one int64
+edge array, and every matrix, signature operation and balance sweep works on
+it in whole-array steps.
 """
 
 from __future__ import annotations
@@ -70,25 +72,24 @@ _INT64_MAX = np.iinfo(np.int64).max
 class SignedGraph:
     """Simple graph on vertices 0..n-1 whose ``m`` edges are signed +1 or -1.
 
-    Edges are canonicalised to ``(u, v, sign)`` with ``u < v`` and stored
-    sorted lexicographically, so equal graphs compare equal and every
-    derived matrix is reproducible.  They are given either as triples or as
-    one int64 array of shape (m, 3), the form :func:`signet.products.neps`
-    builds and :func:`loads` reads.  The graph keeps the form it was given,
-    whatever its length, and derives the other on first use: ``edges`` as a
-    tuple of int triples, ``edge_array`` as a read-only int64 array, which
-    refuses an endpoint past the int64 range with ValueError.
-    ``from_array`` tells which form was given.
+    The graph stores one form, ``edge_array``: a read-only int64 array of
+    shape (m, 3) whose rows ``(u, v, sign)`` have ``u < v`` and are sorted
+    lexicographically, so equal graphs compare equal and every derived
+    matrix is reproducible.  Edges are given either as that array, the form
+    :func:`signet.products.neps` builds and :func:`loads` reads, or as
+    triples, which are checked one by one and converted once; a triple
+    graph with an endpoint past the int64 range is refused with ValueError.
+    ``edges`` is the tuple of int triples derived from the array on first
+    use, and ``==`` and ``hash`` compare it.
     """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]  # a lazy_field below
     m: int = field(init=False, repr=False, compare=False)
-    from_array: bool = field(init=False, repr=False, compare=False)  # given as an edge array
 
     def __init__(self, n, edges=()):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edge_array", edges)
         self.__post_init__()
 
     def __post_init__(self):
@@ -99,64 +100,64 @@ class SignedGraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         object.__setattr__(self, "n", n)
-        given = self.edges
+        given = self.edge_array
         if isinstance(given, np.ndarray) and given.dtype == np.int64 and given.ndim == 2 and given.shape[1] == 3:
             array = _canonical_array(n, given)
-            object.__delattr__(self, "edges")  # derived from the array when asked for
-            object.__setattr__(self, "edge_array", array)
-            object.__setattr__(self, "m", len(array))
-            object.__setattr__(self, "from_array", True)
-            return
-        edges = _canonical_tuples(n, given)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "m", len(edges))
-        object.__setattr__(self, "from_array", False)
+        else:
+            array = _triples_array(n, given)
+        object.__setattr__(self, "edge_array", array)
+        object.__setattr__(self, "m", len(array))
 
     @lazy_field
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         u, v, s = self.edge_array.T.tolist()
         return tuple(zip(u, v, s))
 
-    @lazy_field
-    def edge_array(self) -> np.ndarray:
-        try:
-            a = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
-        except OverflowError:
-            raise ValueError(f"a graph of order {self.n} has an endpoint past the int64 range of edge arrays") from None
-        a.flags.writeable = False
-        return a
+
+def _checked(n: int, rows: np.ndarray) -> SignedGraph:
+    """The graph of rows that already passed the constructor's checks: a
+    read-only int64 (m, 3) array in canonical order with endpoints below n,
+    such as a block cut from a checked graph and relabelled in order."""
+    g = object.__new__(SignedGraph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edge_array", rows)
+    object.__setattr__(g, "m", len(rows))
+    return g
 
 
-def _canonical_tuples(n: int, edges) -> tuple[tuple[int, int, int], ...]:
-    """Check and sort edge triples one by one."""
-    canon = []
+def _triples_array(n: int, edges) -> np.ndarray:
+    """Check edge triples one by one, sort them and scan for a repeated pair
+    on Python ints, and convert them once into a sorted read-only int64
+    (m, 3) array.  For a graph of a few edges this is about a third of the
+    cost of :func:`_canonical_array`'s whole-array steps, whose fixed cost
+    dominates there."""
+    rows = []
     for edge in edges:
         try:
-            u, v, s = edge
-            # An exact tuple of exact ints is already canonical; keep it.
-            if type(edge) is tuple and type(u) is int and type(v) is int and type(s) is int:
-                item = edge
-            else:
-                item = (operator.index(u), operator.index(v), operator.index(s))
-                u, v, s = item
+            u, v, s = map(operator.index, edge)
         except (TypeError, ValueError):
             raise ValueError(f"malformed edge {edge!r}") from None
         if not 0 <= u < v < n:
             raise ValueError(f"edge {edge!r} violates 0 <= u < v < {n}")
         if s not in (1, -1):
             raise ValueError(f"edge {edge!r} has sign {s}, expected +1 or -1")
-        canon.append(item)
-    canon.sort()  # linear on input that is already sorted
+        rows.append((u, v, s))
+    rows.sort()  # linear on input that is already sorted
     pu = pv = -1
-    for u, v, _ in canon:
+    for u, v, _ in rows:
         if u == pu and v == pv:
             raise ValueError(f"duplicate edge ({u}, {v})")
         pu, pv = u, v
-    return tuple(canon)
+    try:
+        array = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        raise ValueError(f"a graph of order {n} has an endpoint past the int64 range of edge arrays") from None
+    array.flags.writeable = False
+    return array
 
 
 def _canonical_array(n: int, a: np.ndarray) -> np.ndarray:
-    """Check an int64 (m, 3) edge array as :func:`_canonical_tuples` checks
+    """Check an int64 (m, 3) edge array as :func:`_triples_array` checks
     triples, with the same messages, and return a sorted read-only copy."""
     u, v, s = a.T
     bad = (u < 0) | (u >= v) | ((s != 1) & (s != -1))
@@ -197,8 +198,8 @@ class BalanceReport:
 
     ``b`` counts balanced components, ``c`` all components and ``c_b`` the
     components whose underlying graph is bipartite.  ``switch`` holds a
-    per-vertex switching certificate assigned along a spanning tree; on a
-    balanced component switching by it makes every edge positive.
+    per-vertex switching certificate: on a balanced component switching by
+    it makes every edge positive, and it is +1 throughout an unbalanced one.
     """
 
     components: tuple[ComponentReport, ...]
@@ -218,15 +219,8 @@ class BalanceReport:
 
 
 def adjacency(g: SignedGraph) -> np.ndarray:
-    """Signed adjacency matrix with entries in {-1, 0, 1}, written from the
-    form the graph was built from."""
-    if g.from_array:
-        return _adjacency_of_rows(g.n, g.edge_array)
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v, s in g.edges:
-        a[u, v] = s
-        a[v, u] = s
-    return a
+    """Signed adjacency matrix with entries in {-1, 0, 1}."""
+    return _adjacency_of_rows(g.n, g.edge_array)
 
 
 def _adjacency_of_rows(n: int, rows: np.ndarray) -> np.ndarray:
@@ -264,9 +258,10 @@ def incidence(g: SignedGraph) -> np.ndarray:
     the higher endpoint v, so the two nonzero entries multiply to -s.
     """
     h = np.zeros((g.n, g.m), dtype=np.int64)
-    for k, (u, v, s) in enumerate(g.edges):
-        h[u, k] = 1
-        h[v, k] = -s
+    u, v, s = g.edge_array.T
+    k = np.arange(g.m)
+    h[u, k] = 1
+    h[v, k] = -s
     return h
 
 
@@ -277,12 +272,12 @@ def incidence(g: SignedGraph) -> np.ndarray:
 
 def negate(g: SignedGraph) -> SignedGraph:
     """Flip the sign of every edge."""
-    return SignedGraph(g.n, tuple((u, v, -s) for u, v, s in g.edges))
+    return SignedGraph(g.n, g.edge_array * (1, 1, -1))
 
 
 def underlying(g: SignedGraph) -> SignedGraph:
     """The all-positive graph on the same edge set."""
-    return SignedGraph(g.n, tuple((u, v, 1) for u, v, _ in g.edges))
+    return SignedGraph(g.n, g.edge_array * (1, 1, 0) + (0, 0, 1))
 
 
 def switch(g: SignedGraph, signs) -> SignedGraph:
@@ -296,9 +291,9 @@ def switch(g: SignedGraph, signs) -> SignedGraph:
         raise ValueError(f"switching vector has length {len(values)}, expected {g.n}")
     if any(x not in (1, -1) for x in values):
         raise ValueError("switching vector entries must be +1 or -1")
-    return SignedGraph(
-        g.n, tuple((u, v, values[u] * s * values[v]) for u, v, s in g.edges)
-    )
+    sigma = np.array(values, dtype=np.int64)
+    u, v, s = g.edge_array.T
+    return SignedGraph(g.n, np.column_stack((u, v, sigma[u] * s * sigma[v])))
 
 
 def disjoint_union(gs: Iterable[SignedGraph]) -> SignedGraph:
@@ -311,76 +306,6 @@ def disjoint_union(gs: Iterable[SignedGraph]) -> SignedGraph:
         parts.append(g.edge_array + (offset, offset, 0))
         offset += g.n
     return SignedGraph(offset, np.concatenate(parts))
-
-
-def _adjacency_lists(g: SignedGraph) -> list[list[tuple[int, int]]]:
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for u, v, s in g.edges:
-        nbrs[u].append((v, s))
-        nbrs[v].append((u, s))
-    return nbrs
-
-
-def balance_report(g: SignedGraph) -> BalanceReport:
-    """Decompose into components and decide balance of each, sweeping the
-    form the graph was built from.
-
-    Triples: a breadth-first spanning tree fixes a tentative switching (root
-    +1, child = parent * edge sign); the component is balanced exactly when
-    all non-tree edges also become positive under it.  The same sweep
-    two-colours the underlying graph to count bipartite components.
-
-    Edge array: :func:`_balance_from_covers`, with no per-edge Python work.
-    Components are listed by least vertex either way, each with its
-    vertices in increasing order.
-    """
-    if g.from_array:
-        return _balance_from_covers(g)
-    nbrs = _adjacency_lists(g)
-    comp_id = [-1] * g.n
-    sigma = [1] * g.n
-    colour = [0] * g.n
-    comp_vertices: list[list[int]] = []
-    for root in range(g.n):
-        if comp_id[root] != -1:
-            continue
-        cid = len(comp_vertices)
-        comp_id[root] = cid
-        # members is the FIFO queue too: head walks it in discovery order.
-        members = [root]
-        head = 0
-        while head < len(members):
-            u = members[head]
-            head += 1
-            for v, s in nbrs[u]:
-                if comp_id[v] == -1:
-                    comp_id[v] = cid
-                    sigma[v] = sigma[u] * s
-                    colour[v] = 1 - colour[u]
-                    members.append(v)
-        comp_vertices.append(sorted(members))
-
-    c = len(comp_vertices)
-    comp_balanced = [True] * c
-    comp_bipartite = [True] * c
-    for u, v, s in g.edges:
-        cid = comp_id[u]
-        if sigma[u] * s * sigma[v] != 1:
-            comp_balanced[cid] = False
-        if colour[u] == colour[v]:
-            comp_bipartite[cid] = False
-
-    components = tuple(
-        ComponentReport(tuple(vs), comp_balanced[i], comp_bipartite[i])
-        for i, vs in enumerate(comp_vertices)
-    )
-    return BalanceReport(
-        components=components,
-        switch=tuple(sigma),
-        b=sum(comp_balanced),
-        c=c,
-        c_b=sum(comp_bipartite),
-    )
 
 
 def _cover_components(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -404,8 +329,9 @@ def _cover_components(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
     return label
 
 
-def _balance_from_covers(g: SignedGraph) -> BalanceReport:
-    """:func:`balance_report` of an edge-array graph, from two double covers.
+def balance_report(g: SignedGraph) -> BalanceReport:
+    """Decompose into components and decide balance and bipartiteness of
+    each, from two double covers of the edge array.
 
     Each vertex v has lifts v+ and v-.  In the signed double cover a
     positive edge joins like lifts (u+ v+, u- v-) and a negative edge
@@ -417,7 +343,8 @@ def _balance_from_covers(g: SignedGraph) -> BalanceReport:
     components labelled by least vertex, one of v+ and v- carries r, and
     ``switch[v]`` is +1 iff v+ does: the switching that makes a balanced
     component all positive, and +1 throughout an unbalanced one, where
-    both lifts carry r.
+    both lifts carry r.  Components are listed by least vertex, each with
+    its vertices in increasing order.
     """
     n = g.n
     label = np.arange(4 * n)  # first: an order too large to label fails here, before a lift overflows

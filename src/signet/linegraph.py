@@ -49,9 +49,6 @@ def line_graph(g: SignedGraph) -> LineGraphResult:
     step loops over edges or pairs in Python, and the work is
     O(m log m + sum C(d, 2)), independent of the order of g, so isolated
     vertices cost nothing.
-
-    Raises the ValueError of ``g.edge_array`` when g is given as triples
-    with an endpoint past the int64 range; relabel such a graph first.
     """
     a = g.edge_array
     ends = a[:, :2].ravel()

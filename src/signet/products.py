@@ -156,7 +156,6 @@ def neps(factors: Sequence[SignedGraph], basis: Basis) -> SignedGraph:
     n = math.prod(f.n for f in factors)
     if n > _INT64_MAX:
         raise ValueError(f"product order {n} exceeds the int64 range of flat vertex indices")
-    # Derived before any pattern is skipped, so an endpoint past int64 is refused.
     edges = [f.edge_array.T for f in factors]
     built = {}
 

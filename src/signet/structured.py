@@ -213,8 +213,8 @@ class DenseNode(SpectralNode):
         g's edges are sorted, one stable sort by block keeps that order
         within each block, and the relabelling is increasing within a block,
         so each block's rows come out in canonical order.  A block leaf
-        scatters its matrix from its rows, and builds its graph through the
-        constructor only when a field other than the spectra asks for it."""
+        scatters its matrix from its rows, and makes its graph of them, with
+        no second check, only when a field other than the spectra asks."""
         block = np.asarray(block, dtype=np.int64)
         edges = g.edge_array
         home = block[edges[:, 0]]
@@ -228,6 +228,7 @@ class DenseNode(SpectralNode):
         order = home.argsort(kind="stable")
         rows = edges[order]
         rows[:, :2] = rank[rows[:, :2]]
+        rows.flags.writeable = False
         bounds = home[order].searchsorted(np.arange(count + 1)).tolist()
         sizes = sizes.tolist()
         return lambda b: _BlockLeaf(sizes[b], rows[bounds[b] : bounds[b + 1]])
@@ -274,7 +275,7 @@ class _BlockLeaf(DenseNode):
 
     @graphs.lazy_field
     def graph(self) -> graphs.SignedGraph:
-        return graphs.SignedGraph(self.n, self._rows)
+        return graphs._checked(self.n, self._rows)
 
 
 class ProductNode(SpectralNode):
@@ -356,14 +357,9 @@ def line_balance(components: Iterable[tuple[int, bool, bool, int]]) -> tuple[int
 
 def _without_isolated(g: graphs.SignedGraph) -> graphs.SignedGraph:
     """g with its isolated vertices dropped and the others relabelled in
-    order, which keeps the edge order; g itself when it has none.  The
-    relabelled graph is an edge array, unless an endpoint of g is past the
-    int64 range."""
-    try:
-        edges = g.edge_array
-    except ValueError:
-        index = {x: i for i, x in enumerate(sorted({x for u, v, _ in g.edges for x in (u, v)}))}
-        return graphs.SignedGraph(len(index), tuple((index[u], index[v], s) for u, v, s in g.edges))
+    order on the edge array, which keeps the edge order; g itself when it
+    has none."""
+    edges = g.edge_array
     ends = np.unique(edges[:, :2])
     if len(ends) == g.n:
         return g

@@ -10,6 +10,9 @@ The suites that solve build their cases in order, with the same draws as one
 case at a time, and check them in batches whose dense fields
 :meth:`DenseNode.solve_all` first fills, one LAPACK call per order and kind.
 A budget of matrix entries, not of cases, bounds a batch at any ``--max``.
+``kirchhoff``, ``rank``, ``acharya`` and ``line-theorems`` draw each batch of
+random graphs as one disjoint union, cut each case's dense leaf out of it,
+and read each case's balance from one balance sweep of the union.
 ``closed-forms`` builds each run of its cases as one graph, a disjoint union
 or a Cartesian product of two, and its line graph, and cuts each case's dense
 leaves out of them as blocks (:meth:`DenseNode.blocks`).
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formulas
-from .families import cycle, parse_family, random_signed_graph
+from .families import _random_edges, cycle, parse_family, random_signed_graph
 from .graphs import (
     SignedGraph,
     adjacency,
@@ -58,12 +61,6 @@ class SuiteResult:
             self.failures.append(message)
 
 
-def _random_graph(rng, max_n: int) -> SignedGraph:
-    n = int(rng.integers(1, max_n + 1))
-    p = (0.2, 0.5, 0.8)[rng.integers(0, 3)]
-    return random_signed_graph(rng, n, p)
-
-
 def multiset_gap(a, b) -> float:
     """The largest gap between two real multisets matched in sorted order:
     inf when their sizes differ, NaN when a value is NaN, 0 when both are
@@ -92,15 +89,51 @@ def _solved_in_batches(cases):
     yield from batch
 
 
+def _random_batches(rng, max_n: int, count: int):
+    """The suite's ``count`` random graphs as batches ``(first, union, block,
+    size)``: cases first..first+size-1, each drawn as one
+    :func:`random_signed_graph` call would draw it (n from 1..max_n, p from
+    0.2, 0.5, 0.8), joined in one disjoint union whose vertex v belongs to
+    case ``first + block[v]``.  A batch closes once its cases hold
+    ``_BATCH_ENTRIES`` matrix entries, n^2 + m^2 each.  Each case's rows are
+    canonical and shifted past the cases before it, so the union's are too."""
+    first = 0
+    while first < count:
+        drawn, orders, entries = [], [], 0
+        while first + len(orders) < count and entries < _BATCH_ENTRIES:
+            n = int(rng.integers(1, max_n + 1))
+            drawn.append(_random_edges(rng, n, (0.2, 0.5, 0.8)[rng.integers(0, 3)]))
+            orders.append(n)
+            entries += n * n + len(drawn[-1]) ** 2
+        rows = np.array([edge for edges in drawn for edge in edges], dtype=np.int64).reshape(-1, 3)
+        offsets = np.cumsum(orders) - orders
+        rows[:, :2] += np.repeat(offsets, [len(edges) for edges in drawn])[:, None]
+        yield first, SignedGraph(sum(orders), rows), np.repeat(np.arange(len(orders)), orders), len(orders)
+        first += len(orders)
+
+
+def _block_balance(g: SignedGraph, block, count: int) -> list[list[int]]:
+    """(b, c, c_b) of each block of g, from one balance sweep of g: its
+    components are listed by least vertex, so each one's block is
+    ``block[root]``."""
+    components = balance_report(g).components
+    counts = np.zeros((count, 3), dtype=np.int64)
+    verdicts = [(comp.balanced, 1, comp.bipartite) for comp in components]
+    np.add.at(counts, block[[comp.vertices[0] for comp in components]], verdicts)
+    return counts.tolist()
+
+
 def kirchhoff_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """incidence @ incidence.T equals the Laplacian, exactly, in integers."""
     rng = np.random.default_rng(seed)
     result = SuiteResult()
-    for i in range(200):
-        g = _random_graph(rng, max_n)
-        h = incidence(g)
-        ok = np.array_equal(h @ h.T, laplacian(g))
-        result.record(ok, f"graph {i} (n={g.n}, m={g.m}): H H^T != L")
+    for first, union, block, size in _random_batches(rng, max_n, 200):
+        leaf = DenseNode.blocks(union, block, size)
+        for k in range(size):
+            g = leaf(k).graph
+            h = incidence(g)
+            ok = np.array_equal(h @ h.T, laplacian(g))
+            result.record(ok, f"graph {first + k} (n={g.n}, m={g.m}): H H^T != L")
     return result
 
 
@@ -108,14 +141,12 @@ def rank_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Exact rational rank of the Laplacian is n minus balanced components."""
     rng = np.random.default_rng(seed)
     result = SuiteResult()
-    for i in range(200):
-        g = _random_graph(rng, max_n)
-        rep = balance_report(g)
-        got = rank_exact(laplacian(g))
-        result.record(
-            got == g.n - rep.b,
-            f"graph {i}: rank {got} != n - b = {g.n - rep.b}",
-        )
+    for first, union, block, size in _random_batches(rng, max_n, 200):
+        leaf = DenseNode.blocks(union, block, size)
+        for k, (b, _, _) in enumerate(_block_balance(union, block, size)):
+            g = leaf(k).graph
+            got = rank_exact(laplacian(g))
+            result.record(got == g.n - b, f"graph {first + k}: rank {got} != n - b = {g.n - b}")
     return result
 
 
@@ -123,20 +154,14 @@ def acharya_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Balanced iff cospectral with the all-positive underlying graph."""
     rng = np.random.default_rng(seed)
     result = SuiteResult()
-
-    def cases():
-        for i in range(200):
-            g = _random_graph(rng, max_n)
-            signed, plain = spectral_node(g), spectral_node(underlying(g))
-            yield (signed, plain), (), (i, g, signed, plain)
-
-    for i, g, signed, plain in _solved_in_batches(cases()):
-        same = multiset_gap(signed.adjacency, plain.adjacency) <= 1e-8
-        balanced = balance_report(g).balanced
-        result.record(
-            same == balanced,
-            f"graph {i}: cospectral={same} but balanced={balanced}",
-        )
+    for first, union, block, size in _random_batches(rng, max_n, 200):
+        signed, plain = (DenseNode.blocks(g, block, size) for g in (union, underlying(union)))
+        cases = [(signed(k), plain(k)) for k in range(size)]
+        DenseNode.solve_all([node for case in cases for node in case])
+        for k, ((signed, plain), (b, c, _)) in enumerate(zip(cases, _block_balance(union, block, size))):
+            same = multiset_gap(signed.adjacency, plain.adjacency) <= 1e-8
+            balanced = b == c
+            result.record(same == balanced, f"graph {first + k}: cospectral={same} but balanced={balanced}")
     return result
 
 
@@ -328,31 +353,31 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
     """Line-graph matrix identity and spectrum reconstruction on random graphs."""
     rng = np.random.default_rng(seed)
     result = SuiteResult()
-
-    def cases():
-        for i in range(150):
-            g = _random_graph(rng, max_n)
-            lg = line_graph(g).graph
-            base, lined = spectral_node(g), spectral_node(lg)
-            yield (lined,), (base,), (i, g, lg, base, lined)
-
-    for i, g, lg, base, lined in _solved_in_batches(cases()):
-        h = incidence(g)
-        identity_ok = np.array_equal(
-            adjacency(lg), 2 * np.eye(g.m, dtype=np.int64) - h.T @ h
-        )
-        result.record(identity_ok, f"graph {i}: A(line) != 2I - H^T H")
-        got = lined.adjacency
-        try:
-            expected = formulas.line_spectrum_general(base.laplacian, base.m, base.b)
-            matched = multiset_gap(expected, got) <= 1e-8
-            problem = "" if matched else "line spectrum does not match the Laplacian construction"
-        except ValueError as exc:
-            problem = f"the line rule refuses the graph: {exc}"
-        result.record(not problem, f"graph {i}: {problem}")
-        result.record(
-            all(v <= 2.0 + 1e-8 for v in got), f"graph {i}: eigenvalue above 2"
-        )
+    for first, union, block, size in _random_batches(rng, max_n, 150):
+        # The line graph of a union is the union of the line graphs, each
+        # vertex, an edge of the union, in the block of its endpoints.
+        base = DenseNode.blocks(union, block, size)
+        lined = DenseNode.blocks(line_graph(union).graph, block[union.edge_array[:, 0]], size)
+        cases = [(base(k), lined(k)) for k in range(size)]
+        DenseNode.solve_all([lined for _, lined in cases], [base for base, _ in cases])
+        for k, ((base, lined), (b, _, _)) in enumerate(zip(cases, _block_balance(union, block, size))):
+            i, g, lg = first + k, base.graph, lined.graph
+            h = incidence(g)
+            identity_ok = np.array_equal(
+                adjacency(lg), 2 * np.eye(g.m, dtype=np.int64) - h.T @ h
+            )
+            result.record(identity_ok, f"graph {i}: A(line) != 2I - H^T H")
+            got = lined.adjacency
+            try:
+                expected = formulas.line_spectrum_general(base.laplacian, base.m, b)
+                matched = multiset_gap(expected, got) <= 1e-8
+                problem = "" if matched else "line spectrum does not match the Laplacian construction"
+            except ValueError as exc:
+                problem = f"the line rule refuses the graph: {exc}"
+            result.record(not problem, f"graph {i}: {problem}")
+            result.record(
+                all(v <= 2.0 + 1e-8 for v in got), f"graph {i}: eigenvalue above 2"
+            )
     for n in range(3, 9):
         for r in range(n + 1):
             lg = line_graph(cycle(n, r)).graph

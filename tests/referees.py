@@ -1,9 +1,10 @@
 """Brute-force referees the tests pit against the production algorithms.
 
 Everything here is deliberately independent of the main implementations:
-components come from union-find rather than the sweeps in
-:mod:`signet.graphs`, balance is decided by exhaustive cycle enumeration or
-exhaustive switching, and eigenvalues come from a pure-Python Householder
+components come from union-find or a breadth-first sweep rather than the
+double-cover sweep of :func:`signet.graphs.balance_report`, balance is
+decided by exhaustive cycle enumeration, exhaustive switching or a
+spanning tree's switching, and eigenvalues come from a pure-Python Householder
 tridiagonalisation followed by implicit-shift QL rather than the LAPACK
 routine behind :func:`signet.spectra.eigenvalues`, line graphs come from
 a pair loop over each vertex's incident edges rather than the whole-array
@@ -20,7 +21,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from signet.graphs import SignedGraph
+from signet.graphs import BalanceReport, ComponentReport, SignedGraph
 from signet.spectra import EigensolverError
 
 _CYCLE_CAP = 10
@@ -45,6 +46,66 @@ def _union_find_components(g: SignedGraph) -> list[list[int]]:
     for v in range(g.n):
         groups.setdefault(find(v), []).append(v)
     return sorted(groups.values(), key=min)
+
+
+def balance_by_breadth_first(g: SignedGraph) -> BalanceReport:
+    """The balance report of g from one breadth-first sweep of its triples.
+
+    A breadth-first spanning tree fixes a tentative switching (root +1,
+    child = parent * edge sign); the component is balanced exactly when all
+    non-tree edges also become positive under it.  The same sweep
+    two-colours the underlying graph to count bipartite components.
+    Components are listed by least vertex, each with its vertices in
+    increasing order.
+    """
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for u, v, s in g.edges:
+        nbrs[u].append((v, s))
+        nbrs[v].append((u, s))
+    comp_id = [-1] * g.n
+    sigma = [1] * g.n
+    colour = [0] * g.n
+    comp_vertices: list[list[int]] = []
+    for root in range(g.n):
+        if comp_id[root] != -1:
+            continue
+        cid = len(comp_vertices)
+        comp_id[root] = cid
+        # members is the FIFO queue too: head walks it in discovery order.
+        members = [root]
+        head = 0
+        while head < len(members):
+            u = members[head]
+            head += 1
+            for v, s in nbrs[u]:
+                if comp_id[v] == -1:
+                    comp_id[v] = cid
+                    sigma[v] = sigma[u] * s
+                    colour[v] = 1 - colour[u]
+                    members.append(v)
+        comp_vertices.append(sorted(members))
+
+    c = len(comp_vertices)
+    comp_balanced = [True] * c
+    comp_bipartite = [True] * c
+    for u, v, s in g.edges:
+        cid = comp_id[u]
+        if sigma[u] * s * sigma[v] != 1:
+            comp_balanced[cid] = False
+        if colour[u] == colour[v]:
+            comp_bipartite[cid] = False
+
+    components = tuple(
+        ComponentReport(tuple(vs), comp_balanced[i], comp_bipartite[i])
+        for i, vs in enumerate(comp_vertices)
+    )
+    return BalanceReport(
+        components=components,
+        switch=tuple(sigma),
+        b=sum(comp_balanced),
+        c=c,
+        c_b=sum(comp_bipartite),
+    )
 
 
 def balance_by_cycles(g: SignedGraph) -> list[tuple[frozenset[int], bool]]:
@@ -122,8 +183,8 @@ def line_graph_by_pairs(g: SignedGraph) -> SignedGraph:
     Vertices are edge indices of g in stored order.  For source edge
     (u, v, s) the incidence entry is +1 at u and -s at v; edges e < f
     meeting at w are joined with sign -eta_w(e) * eta_w(f).  Incidences are
-    collected at edge endpoints only, so it reads any triple graph,
-    whatever the size of its endpoints.
+    collected at edge endpoints only, so the work does not grow with the
+    order of g.
     """
     incident: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     for k, (u, v, s) in enumerate(g.edges):

@@ -110,17 +110,16 @@ def test_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
 
 def test_spectrum_of_a_file_never_makes_edge_triples(tmp_path, monkeypatch, capsys):
     """From the file text to the balance verdict, a graph read from a file
-    stays one edge array, and the report is the one the same graph kept as
-    triples gives."""
+    stays one edge array, and the report is the one the same graph built
+    in process gives."""
     g = random_signed_graph(np.random.default_rng(TEST_SEED + 90), 40, 0.3)
-    assert not g.from_array
     doc = tmp_path / "g.json"
     doc.write_text(json.dumps(to_json_dict(g)))
     read = []
     monkeypatch.setattr("signet.cli.loads", lambda text: read.append(loads(text)) or read[-1])
     code, out, _ = run(capsys, "spectrum", "--file", str(doc))
     code_csv, out_csv, _ = run(capsys, "spectrum", "--file", str(doc), "--csv")
-    assert len(read) == 2 and all(h.from_array and "edges" not in vars(h) for h in read)
+    assert len(read) == 2 and all("edges" not in vars(h) for h in read)
     assert (code, code_csv) == (0, 0)
     want = spectral_node(g)
     assert out == json.dumps(_report(want)) + "\n"
@@ -141,7 +140,6 @@ def test_line_graph_of_a_family_never_makes_edge_triples(monkeypatch, capsys, co
     code, out, _ = run(capsys, command, "--family", family, *(["--line"] if command == "spectrum" else []))
     assert code == 0 and len(built) == 1
     base, result = built[0]
-    assert base.from_array and result.graph.from_array
     assert "edges" not in vars(base) and "edges" not in vars(result.graph)
     want = line_graph_by_pairs(spectral_node(parse_family(family)).graph)
     if command == "line":
@@ -153,23 +151,14 @@ def test_line_graph_of_a_family_never_makes_edge_triples(monkeypatch, capsys, co
         assert_multiset_close(got[key], dense[key], tol=1e-9)
 
 
-@pytest.mark.parametrize(
-    "argv, want",
-    [
-        (["line"], '{"n": 2, "edges": [[0, 1, 1]]}\n'),
-        (
-            ["spectrum", "--line"],
-            '{"spectrum": [-1.0, 1.0000000000000002], "laplacian_spectrum": [0.0, 2.0], "energy": 2.0, '
-            '"laplacian_energy": 2.0, "balance": {"b": 1, "c": 1, "c_b": 1, "balanced": true}}\n',
-        ),
-    ],
-    ids=["line", "spectrum-line"],
-)
-def test_line_graph_of_a_file_with_an_endpoint_past_int64(tmp_path, capsys, argv, want):
-    """The base has no edge array, but the line node relabels it first."""
+@pytest.mark.parametrize("argv", [["line"], ["spectrum", "--line"]], ids=["line", "spectrum-line"])
+def test_line_graph_of_a_file_with_an_endpoint_past_int64(tmp_path, capsys, argv):
+    """An edge array cannot hold such a graph, so reading it is bad input,
+    as it is for ``product``."""
     doc = tmp_path / "big.json"
     doc.write_text('{"n": 9223372036854775809, "edges": [[0, 9223372036854775808, 1], [1, 9223372036854775808, -1]]}')
-    assert run(capsys, argv[0], "--file", str(doc), *argv[1:]) == (0, want, "")
+    message = "signet: a graph of order 9223372036854775809 has an endpoint past the int64 range of edge arrays\n"
+    assert run(capsys, argv[0], "--file", str(doc), *argv[1:]) == (2, "", message)
 
 
 def test_out_of_memory_exits_two(monkeypatch, capsys):
@@ -620,6 +609,71 @@ def test_closed_forms_builds_one_product_and_one_line_graph_per_run(monkeypatch)
         ("neps", "signet.verify"): 14,
         ("line_graph", "signet.verify"): 17,
     }
+
+
+@pytest.mark.parametrize("max_n, batches", [(8, (1, 1)), (20, (13, 10))])
+def test_random_suites_sweep_balance_once_per_batch(monkeypatch, max_n, batches):
+    """rank, acharya and line-theorems sweep balance once per batch union,
+    not once per case, and line-theorems builds one line graph per batch
+    plus the 39 of its cycle checks.  At --max 8 the 200 or 150 cases are
+    one batch; at --max 20 the entry budget splits them."""
+    from collections import Counter
+
+    from signet import verify
+
+    calls, sizes = Counter(), []
+    draw = verify._random_batches
+
+    def counting_batches(*args):
+        for batch in draw(*args):
+            sizes.append(batch[3])
+            yield batch
+
+    def counted(name):
+        fn = getattr(verify, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counting)
+
+    monkeypatch.setattr(verify, "_random_batches", counting_batches)
+    counted("balance_report")
+    counted("line_graph")
+    for suite, cases, want in (("rank", 200, batches[0]), ("acharya", 200, batches[0]), ("line-theorems", 150, batches[1])):
+        calls.clear()
+        sizes.clear()
+        assert not verify.SUITES[suite](max_n=max_n).failures
+        assert sum(sizes) == cases and len(sizes) == want, suite
+        assert calls["balance_report"] == want, suite
+        assert calls["line_graph"] == (want + 39 if suite == "line-theorems" else 0), suite
+
+
+def _neighbour_block(right):
+    def wrong(g, block, count):
+        counts = right(g, block, count)
+        return counts[1:] + counts[:1]  # block b reads block b + 1's balance
+
+    return wrong
+
+
+def _offset_off_by_one(right):
+    def wrong(g, block, count):
+        return right(g, np.concatenate(([0], block[:-1])), count)  # vertex v looked up as v - 1
+
+    return wrong
+
+
+@pytest.mark.parametrize("mutant", [_neighbour_block, _offset_off_by_one])
+@pytest.mark.parametrize("suite", ["rank", "acharya", "line-theorems"])
+def test_random_suites_fail_on_a_misread_block_balance(monkeypatch, suite, mutant):
+    """A block's balance read from its neighbour's block, or through a union
+    offset off by one, makes the suite report failures."""
+    from signet import verify
+
+    monkeypatch.setattr(verify, "_block_balance", mutant(verify._block_balance))
+    assert verify.SUITES[suite]().failures
 
 
 def test_closed_forms_suite_keeps_no_spectra_across_checks():

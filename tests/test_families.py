@@ -18,7 +18,7 @@ from signet.families import (
 )
 from signet.graphs import SignedGraph, balance_report
 from signet.products import Basis, cartesian
-from signet.structured import spectral_node
+from signet.structured import DenseNode, spectral_node
 
 
 def test_path_examples():
@@ -154,12 +154,34 @@ def test_verify_draws_match_their_choice_and_ndindex_forms():
         new, old = np.random.default_rng(seed), np.random.default_rng(seed)
         for round_ in range(5):
             max_n = 1 + (seed + round_) % 8
-            assert verify._random_graph(new, max_n) == _random_graph_by_choice(old, max_n)
+            (_, union, _, _), = verify._random_batches(new, max_n, 1)  # one case, one batch
+            assert union == _random_graph_by_choice(old, max_n)
             assert verify._random_factors(new, max_n) == _random_factors_by_choice(old, max_n)
             nu = 1 + round_ % 3
             assert verify._random_basis(new, nu) == _random_basis_by_ndindex(old, nu)
             assert verify._factors_with_edges(new, max_n) == _factors_with_edges_by_choice(old, max_n)
         assert new.random() == old.random(), seed
+
+
+@pytest.mark.parametrize("seed", [1, 9, 123, verify.DEFAULT_SEED])
+def test_batch_unions_hold_the_graphs_one_draw_per_case_gives(seed):
+    """The blocks of the random suites' batch unions are, row for row, the
+    graphs that one random_signed_graph call per case draws from the same
+    seed, and both generators end in the same state."""
+    for max_n in (1, 4, 8, 20):
+        batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        cases = 0
+        for first, union, block, size in verify._random_batches(batched, max_n, 200):
+            assert first == cases
+            leaf = DenseNode.blocks(union, block, size)
+            for k in range(size):
+                n = int(looped.integers(1, max_n + 1))
+                want = random_signed_graph(looped, n, (0.2, 0.5, 0.8)[looped.integers(0, 3)])
+                got = leaf(k).graph
+                assert got.n == want.n and np.array_equal(got.edge_array, want.edge_array), (max_n, first + k)
+            cases += size
+        assert cases == 200
+        assert batched.random() == looped.random(), max_n
 
 
 # --- family strings ---------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TEST_SEED, assert_multiset_close
+from referees import balance_by_breadth_first
 
 import signet.graphs as graph_module
 from signet.families import complete, cycle, path, random_signed_graph
@@ -110,11 +111,12 @@ def test_malformed_edge_is_named():
             SignedGraph(3, ((1, 2, 1), edge))
 
 
-def test_constructor_keeps_canonical_tuples_and_converts_the_rest():
-    kept = (0, 1, -1)
-    g = SignedGraph(4, (kept, [1, 2, 1], (np.int64(2), 3, True)))
+def test_constructor_converts_integer_triples_to_one_edge_array():
+    g = SignedGraph(4, ((2, 3, True), [1, 2, 1], (np.int64(0), 1, -1)))
+    assert "edges" not in vars(g)  # no triples are stored until they are read
+    assert g.edge_array.dtype == np.int64 and not g.edge_array.flags.writeable
+    assert g.edge_array.tolist() == [[0, 1, -1], [1, 2, 1], [2, 3, 1]]
     assert g.edges == ((0, 1, -1), (1, 2, 1), (2, 3, 1))
-    assert g.edges[0] is kept
     assert all(type(e) is tuple and all(type(x) is int for x in e) for e in g.edges)
 
 
@@ -128,44 +130,25 @@ def test_array_graph_keeps_a_read_only_copy_and_derives_int_triples():
     assert all(type(e) is tuple and all(type(x) is int for x in e) for e in g.edges)
 
 
-def test_short_arrays_stay_arrays():
-    """An edge array of any length keeps its form and answers as its triple twin."""
-    rng = np.random.default_rng(TEST_SEED + 33)
-    pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]  # vertices 12 and 13 stay isolated
-    for rows in (1, 31):
-        picked = sorted(pairs[i] for i in rng.permutation(len(pairs))[:rows])
-        triples = tuple((u, v, int(s)) for (u, v), s in zip(picked, rng.choice((1, -1), rows)))
-        g, h = SignedGraph(14, triples), SignedGraph(14, np.array(triples, dtype=np.int64))
-        assert h.from_array and h.m == rows and not g.from_array
-        assert np.array_equal(adjacency(h), adjacency(g))
-        assert np.array_equal(degrees(h), degrees(g))
-        want, got = balance_report(g), balance_report(h)
-        assert (got.b, got.c, got.c_b) == (want.b, want.c, want.c_b)
-        assert [c.vertices for c in got.components] == [c.vertices for c in want.components]
-        assert "edges" not in vars(h)
-
-
 def test_edge_array_refuses_an_endpoint_past_int64():
+    """Triples whose endpoint fits the order but not an edge array are
+    refused at the door; an endpoint past the order is out of range first."""
     big = 2**63
-    g = SignedGraph(big + 1, ((0, big, 1),))
-    with pytest.raises(ValueError, match="int64 range"):
-        dumps(g)
-
-
-def test_adjacency_of_a_triple_graph_makes_no_array():
-    n = 64
-    g = SignedGraph(n, tuple((u, u + 1, (-1) ** u) for u in range(n - 1)))
-    a = adjacency(g)
-    assert "edge_array" not in vars(g)
-    assert np.array_equal(a, adjacency(SignedGraph(n, np.array(g.edges, dtype=np.int64))))
+    message = f"a graph of order {big + 1} has an endpoint past the int64 range of edge arrays"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        SignedGraph(big + 1, ((0, 1, -1), (0, big, 1)))
+    with pytest.raises(ValueError, match="^" + re.escape(f"edge (0, {big}, 1) violates 0 <= u < v < 5") + "$"):
+        SignedGraph(5, ((0, big, 1),))
 
 
 def test_array_and_triple_forms_agree_on_equality_and_hash():
+    """Both spellings at the door, triples and an int64 array, give equal
+    graphs with equal hashes, and neither stores triples until asked."""
     rng = np.random.default_rng(TEST_SEED + 32)
     for n in (0, 1, 6, 25):
-        g = random_signed_graph(rng, n, 0.5)
-        h = SignedGraph(n, np.array(g.edges, dtype=np.int64).reshape(-1, 3))
-        assert "edges" not in vars(h)
+        triples = random_signed_graph(rng, n, 0.5).edges
+        g, h = SignedGraph(n, triples), SignedGraph(n, np.array(triples, dtype=np.int64).reshape(-1, 3))
+        assert "edges" not in vars(g) and "edges" not in vars(h)
         assert h == g and g == h
         assert hash(h) == hash(g)
         assert h.m == g.m
@@ -389,12 +372,11 @@ def _balance_cases(rng):
 
 
 def test_array_balance_sweep_equals_the_breadth_first_sweep():
-    """The double-cover sweep of an edge-array graph against the
-    breadth-first sweep of the same graph kept as triples."""
+    """The double-cover sweep of the edge array against the breadth-first
+    sweep of the graph's triples, a referee."""
     for g in _balance_cases(np.random.default_rng(TEST_SEED + 9)):
         h = SignedGraph(g.n, g.edge_array)
-        assert h.from_array and not g.from_array
-        want, got = balance_report(g), balance_report(h)
+        want, got = balance_by_breadth_first(g), balance_report(h)
         assert "edges" not in vars(h)
         assert (got.b, got.c, got.c_b) == (want.b, want.c, want.c_b), g
         assert got.components == want.components, g  # vertices and both verdicts
@@ -597,10 +579,9 @@ def test_fast_reader_agrees_with_the_json_route(text, canonical, monkeypatch):
     parsed = []
     monkeypatch.setattr(graph_module, "json", SimpleNamespace(loads=lambda t, **kw: parsed.append(t) or json.loads(t, **kw)))
     fast, slow = _read_both_ways(text)
+    assert not isinstance(fast, SignedGraph) or "edges" not in vars(fast)  # read with no triples
     assert fast == slow
     assert (not parsed) == canonical
-    if canonical and isinstance(fast, SignedGraph):
-        assert fast.from_array
 
 
 def test_fast_reader_treats_a_partial_parse_warning_as_unparsed(monkeypatch):
@@ -689,7 +670,7 @@ def test_switching_keeps_spectra_and_balance(case):
 def test_disjoint_union_shifts_each_graph_past_the_ones_before():
     parts = [SignedGraph(2, ((0, 1, -1),)), SignedGraph(0), SignedGraph(1), SignedGraph(3, ((0, 2, 1), (1, 2, -1)))]
     union = disjoint_union(parts)
-    assert union.from_array
+    assert "edges" not in vars(union)
     assert union == SignedGraph(6, ((0, 1, -1), (3, 5, 1), (4, 5, -1)))
     assert disjoint_union([]) == SignedGraph(0)
     assert disjoint_union([parts[0]]) == parts[0]

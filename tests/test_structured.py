@@ -124,7 +124,7 @@ def test_line_of_a_file_keeps_every_graph_an_edge_array(n):
     lg = node.graph
     assert (node.base.graph is g) == (n == 4)
     for graph in (g, node.base.graph, lg):
-        assert graph.from_array and "edges" not in vars(graph)
+        assert "edges" not in vars(graph)
     assert lg == line_graph(SignedGraph(4, g.edges)).graph
 
 
