@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "SignedGraph",
-    "ComponentReport",
     "BalanceReport",
     "adjacency",
     "degrees",
@@ -182,28 +181,23 @@ def _canonical_array(n: int, a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    """One connected component together with its balance and bipartiteness
-    verdicts."""
-
-    vertices: tuple[int, ...]
-    balanced: bool
-    bipartite: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalanceReport:
-    """Balance decomposition of a signed graph.
+    """Balance decomposition of a signed graph, as read-only arrays.
 
-    ``b`` counts balanced components, ``c`` all components and ``c_b`` the
-    components whose underlying graph is bipartite.  ``switch`` holds a
-    per-vertex switching certificate: on a balanced component switching by
-    it makes every edge positive, and it is +1 throughout an unbalanced one.
+    ``root[v]`` is the least vertex of v's component.  ``component_balanced``
+    and ``component_bipartite`` hold one verdict per component, listed by
+    increasing least vertex.  ``b`` counts balanced components, ``c`` all
+    components and ``c_b`` the components whose underlying graph is
+    bipartite.  ``switch`` holds a per-vertex switching certificate of +1
+    and -1: on a balanced component switching by it makes every edge
+    positive, and it is +1 throughout an unbalanced one.
     """
 
-    components: tuple[ComponentReport, ...]
-    switch: tuple[int, ...]
+    root: np.ndarray
+    component_balanced: np.ndarray
+    component_bipartite: np.ndarray
+    switch: np.ndarray
     b: int
     c: int
     c_b: int
@@ -220,13 +214,8 @@ class BalanceReport:
 
 def adjacency(g: SignedGraph) -> np.ndarray:
     """Signed adjacency matrix with entries in {-1, 0, 1}."""
-    return _adjacency_of_rows(g.n, g.edge_array)
-
-
-def _adjacency_of_rows(n: int, rows: np.ndarray) -> np.ndarray:
-    """The adjacency matrix of order n scattered from (u, v, s) rows."""
-    a = np.zeros((n, n), dtype=np.int64)
-    u, v, s = rows.T
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    u, v, s = g.edge_array.T
     a[u, v] = s
     a[v, u] = s
     return a
@@ -343,8 +332,8 @@ def balance_report(g: SignedGraph) -> BalanceReport:
     components labelled by least vertex, one of v+ and v- carries r, and
     ``switch[v]`` is +1 iff v+ does: the switching that makes a balanced
     component all positive, and +1 throughout an unbalanced one, where
-    both lifts carry r.  Components are listed by least vertex, each with
-    its vertices in increasing order.
+    both lifts carry r.  ``root`` is the per-vertex minimum of the two
+    lifts' labels, and components are listed by increasing root.
     """
     n = g.n
     label = np.arange(4 * n)  # first: an order too large to label fails here, before a lift overflows
@@ -358,18 +347,12 @@ def balance_report(g: SignedGraph) -> BalanceReport:
     )
     root = np.minimum(label[:n], label[n : 2 * n])
     roots = np.flatnonzero(root == np.arange(n))
-    balanced = (label[roots + n] != roots).tolist()
-    bipartite = (label[roots + 3 * n] != roots + 2 * n).tolist()
-    members = np.argsort(root, kind="stable").tolist()  # by component, then by vertex
-    ends = np.cumsum(np.bincount(root)[roots]).tolist()
-    vertices = [tuple(members[i:j]) for i, j in zip([0, *ends], ends)]
-    return BalanceReport(
-        components=tuple(map(ComponentReport, vertices, balanced, bipartite)),
-        switch=tuple(np.where(label[:n] == root, 1, -1).tolist()),
-        b=sum(balanced),
-        c=len(roots),
-        c_b=sum(bipartite),
-    )
+    balanced = label[roots + n] != roots
+    bipartite = label[roots + 3 * n] != roots + 2 * n
+    certificate = np.where(label[:n] == root, 1, -1)
+    for a in (root, balanced, bipartite, certificate):
+        a.flags.writeable = False
+    return BalanceReport(root, balanced, bipartite, certificate, int(balanced.sum()), len(roots), int(bipartite.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,13 @@ on first use, bottom-up, by the cheapest exact rule:
   leaf when the base is a path, and otherwise from the dense leaf of the
   built line graph.
 - **dense leaf**: LAPACK on a built graph, and the balance sweep of
-  :func:`signet.graphs.balance_report`.  Only dense leaves solve, and
-  :class:`DenseNode` is the one route from a built graph to its spectra and
-  energies; :meth:`DenseNode.solve_all` solves many dense leaves in stacks,
-  one LAPACK call per order and kind, and :meth:`DenseNode.blocks` cuts the
-  dense leaves of a disjoint union's parts out of the built union.
+  :func:`signet.graphs.balance_report`, whose per-vertex component roots
+  key each component's size and degree in whole-array steps.  Only dense
+  leaves solve, and :class:`DenseNode` is the one route from a built graph
+  to its spectra and energies; :meth:`DenseNode.solve_all` solves many
+  dense leaves in stacks, one LAPACK call per order and kind, and
+  :meth:`DenseNode.blocks` cuts the dense leaves of a disjoint union's
+  parts, each a plain ``DenseNode``, out of the built union.
 
 A Laplacian that no rule above gives is k - lambda over a k-regular graph
 (L = kI - A: cycles, complete graphs, regular products, line graphs of
@@ -212,9 +214,8 @@ class DenseNode(SpectralNode):
 
         g's edges are sorted, one stable sort by block keeps that order
         within each block, and the relabelling is increasing within a block,
-        so each block's rows come out in canonical order.  A block leaf
-        scatters its matrix from its rows, and makes its graph of them, with
-        no second check, only when a field other than the spectra asks."""
+        so each block's rows come out in canonical order, and each leaf's
+        graph is made of them with no second check."""
         block = np.asarray(block, dtype=np.int64)
         edges = g.edge_array
         home = block[edges[:, 0]]
@@ -231,19 +232,19 @@ class DenseNode(SpectralNode):
         rows.flags.writeable = False
         bounds = home[order].searchsorted(np.arange(count + 1)).tolist()
         sizes = sizes.tolist()
-        return lambda b: _BlockLeaf(sizes[b], rows[bounds[b] : bounds[b + 1]])
+        return lambda b: DenseNode(graphs._checked(sizes[b], rows[bounds[b] : bounds[b + 1]]))
 
     @graphs.lazy_field
-    def _degrees(self) -> list[int]:
-        return graphs.degrees(self.graph).tolist()
+    def _degrees(self) -> np.ndarray:
+        return graphs.degrees(self.graph)
 
     @graphs.lazy_field
     def max_degree(self) -> int:
-        return max(self._degrees, default=0)
+        return int(self._degrees.max(initial=0))
 
     @graphs.lazy_field
     def min_degree(self) -> int:
-        return min(self._degrees, default=0)
+        return int(self._degrees.min()) if self.n else 0
 
     @graphs.lazy_field
     def _report(self) -> graphs.BalanceReport:
@@ -256,26 +257,13 @@ class DenseNode(SpectralNode):
 
     @graphs.lazy_field
     def components(self) -> tuple[tuple[int, bool, bool, int], ...]:
-        deg = self._degrees
-        return tuple(
-            (sum(deg[v] for v in comp.vertices) // 2, comp.balanced, comp.bipartite, max(deg[v] for v in comp.vertices))
-            for comp in self._report.components
-        )
-
-
-class _BlockLeaf(DenseNode):
-    """Dense leaf of one block of a built graph, cut by :meth:`DenseNode.blocks`."""
-
-    def __init__(self, n: int, rows: np.ndarray):
-        self.n, self.m, self._rows = n, len(rows), rows
-
-    @graphs.lazy_field
-    def _matrix(self) -> np.ndarray:
-        return graphs._adjacency_of_rows(self.n, self._rows)
-
-    @graphs.lazy_field
-    def graph(self) -> graphs.SignedGraph:
-        return graphs._checked(self.n, self._rows)
+        rep = self._report
+        roots = np.flatnonzero(rep.root == np.arange(self.n))
+        top = np.zeros(self.n, dtype=np.int64)
+        np.maximum.at(top, rep.root, self._degrees)
+        sizes = np.bincount(rep.root[self.graph.edge_array[:, 0]], minlength=self.n)
+        columns = (sizes[roots], rep.component_balanced, rep.component_bipartite, top[roots])
+        return tuple(zip(*(column.tolist() for column in columns)))
 
 
 class ProductNode(SpectralNode):

@@ -89,13 +89,14 @@ def _solved_in_batches(cases):
     yield from batch
 
 
-def _random_batches(rng, max_n: int, count: int):
+def _random_batches(rng, max_n: int, count: int, lined: bool = False):
     """The suite's ``count`` random graphs as batches ``(first, union, block,
     size)``: cases first..first+size-1, each drawn as one
     :func:`random_signed_graph` call would draw it (n from 1..max_n, p from
     0.2, 0.5, 0.8), joined in one disjoint union whose vertex v belongs to
     case ``first + block[v]``.  A batch closes once its cases hold
-    ``_BATCH_ENTRIES`` matrix entries, n^2 + m^2 each.  Each case's rows are
+    ``_BATCH_ENTRIES`` matrix entries, n^2 each, plus m^2 when ``lined``
+    (the suite also solves each case's line graph).  Each case's rows are
     canonical and shifted past the cases before it, so the union's are too."""
     first = 0
     while first < count:
@@ -104,7 +105,7 @@ def _random_batches(rng, max_n: int, count: int):
             n = int(rng.integers(1, max_n + 1))
             drawn.append(_random_edges(rng, n, (0.2, 0.5, 0.8)[rng.integers(0, 3)]))
             orders.append(n)
-            entries += n * n + len(drawn[-1]) ** 2
+            entries += n * n + lined * len(drawn[-1]) ** 2
         rows = np.array([edge for edges in drawn for edge in edges], dtype=np.int64).reshape(-1, 3)
         offsets = np.cumsum(orders) - orders
         rows[:, :2] += np.repeat(offsets, [len(edges) for edges in drawn])[:, None]
@@ -113,13 +114,12 @@ def _random_batches(rng, max_n: int, count: int):
 
 
 def _block_balance(g: SignedGraph, block, count: int) -> list[list[int]]:
-    """(b, c, c_b) of each block of g, from one balance sweep of g: its
-    components are listed by least vertex, so each one's block is
-    ``block[root]``."""
-    components = balance_report(g).components
+    """(b, c, c_b) of each block of g, from one balance sweep of g: each
+    component's block is ``block`` at its least vertex, its root."""
+    rep = balance_report(g)
     counts = np.zeros((count, 3), dtype=np.int64)
-    verdicts = [(comp.balanced, 1, comp.bipartite) for comp in components]
-    np.add.at(counts, block[[comp.vertices[0] for comp in components]], verdicts)
+    verdicts = np.column_stack((rep.component_balanced, np.ones(rep.c, dtype=bool), rep.component_bipartite))
+    np.add.at(counts, block[np.flatnonzero(rep.root == np.arange(g.n))], verdicts)
     return counts.tolist()
 
 
@@ -353,7 +353,7 @@ def line_theorems_suite(max_n: int = 8, seed: int = DEFAULT_SEED) -> SuiteResult
     """Line-graph matrix identity and spectrum reconstruction on random graphs."""
     rng = np.random.default_rng(seed)
     result = SuiteResult()
-    for first, union, block, size in _random_batches(rng, max_n, 150):
+    for first, union, block, size in _random_batches(rng, max_n, 150, lined=True):
         # The line graph of a union is the union of the line graphs, each
         # vertex, an edge of the union, in the block of its endpoints.
         base = DenseNode.blocks(union, block, size)

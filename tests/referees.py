@@ -21,7 +21,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from signet.graphs import BalanceReport, ComponentReport, SignedGraph
+from signet.graphs import BalanceReport, SignedGraph
 from signet.spectra import EigensolverError
 
 _CYCLE_CAP = 10
@@ -55,8 +55,8 @@ def balance_by_breadth_first(g: SignedGraph) -> BalanceReport:
     child = parent * edge sign); the component is balanced exactly when all
     non-tree edges also become positive under it.  The same sweep
     two-colours the underlying graph to count bipartite components.
-    Components are listed by least vertex, each with its vertices in
-    increasing order.
+    Each vertex's root is the least vertex of its component, the sweep's
+    start there, and components are listed by increasing root.
     """
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for u, v, s in g.edges:
@@ -95,13 +95,11 @@ def balance_by_breadth_first(g: SignedGraph) -> BalanceReport:
         if colour[u] == colour[v]:
             comp_bipartite[cid] = False
 
-    components = tuple(
-        ComponentReport(tuple(vs), comp_balanced[i], comp_bipartite[i])
-        for i, vs in enumerate(comp_vertices)
-    )
     return BalanceReport(
-        components=components,
-        switch=tuple(sigma),
+        root=np.array([comp_vertices[cid][0] for cid in comp_id], dtype=np.int64),
+        component_balanced=np.array(comp_balanced, dtype=bool),
+        component_bipartite=np.array(comp_bipartite, dtype=bool),
+        switch=np.array(sigma, dtype=np.int64),
         b=sum(comp_balanced),
         c=c,
         c_b=sum(comp_bipartite),

@@ -35,7 +35,7 @@ from signet.graphs import (
     to_json_dict,
     underlying,
 )
-from signet.structured import spectral_node
+from signet.structured import DenseNode, spectral_node
 from signet.verify import multiset_gap
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -324,13 +324,10 @@ def test_balance_certificate_validates_on_balanced_components():
     for _ in range(50):
         g = random_signed_graph(rng, int(rng.integers(1, 9)), 0.5)
         rep = balance_report(g)
-        for comp in rep.components:
-            if not comp.balanced:
-                continue
-            inside = set(comp.vertices)
-            for u, v, s in g.edges:
-                if u in inside:
-                    assert rep.switch[u] * s * rep.switch[v] == 1
+        component = np.unique(rep.root, return_inverse=True)[1]
+        for u, v, s in g.edges:
+            if rep.component_balanced[component[u]]:
+                assert rep.switch[u] * s * rep.switch[v] == 1
         assert rep.b <= rep.c and rep.c_b <= rep.c
 
 
@@ -379,11 +376,26 @@ def test_array_balance_sweep_equals_the_breadth_first_sweep():
         want, got = balance_by_breadth_first(g), balance_report(h)
         assert "edges" not in vars(h)
         assert (got.b, got.c, got.c_b) == (want.b, want.c, want.c_b), g
-        assert got.components == want.components, g  # vertices and both verdicts
+        assert np.array_equal(got.root, want.root), g  # the components' vertices
+        assert np.array_equal(got.component_balanced, want.component_balanced), g
+        assert np.array_equal(got.component_bipartite, want.component_bipartite), g
         assert len(got.switch) == g.n
-        for comp in want.components:
-            if comp.balanced:  # the certificate with +1 at the least vertex is unique there
-                assert [got.switch[v] for v in comp.vertices] == [want.switch[v] for v in comp.vertices], g
+        # The certificate with +1 at the least vertex is unique on a balanced component.
+        on = want.component_balanced[np.unique(want.root, return_inverse=True)[1]]
+        assert np.array_equal(got.switch[on], want.switch[on]), g
+
+
+def test_component_roots_cut_every_component():
+    """Each component, cut out as a block by its rank among the roots, has
+    the report's verdicts as its own balance, and the blocks hold every
+    vertex and every edge."""
+    for g in _balance_cases(np.random.default_rng(TEST_SEED + 10)):
+        rep = balance_report(g)
+        leaf = DenseNode.blocks(g, np.unique(rep.root, return_inverse=True)[1], rep.c)
+        leaves = [leaf(k) for k in range(rep.c)]
+        for k, node in enumerate(leaves):
+            assert node.balance == (int(rep.component_balanced[k]), 1, int(rep.component_bipartite[k])), g
+        assert sum(node.n for node in leaves) == g.n and sum(node.m for node in leaves) == g.m, g
 
 
 def test_doubly_balanced_means_bipartite():

@@ -60,8 +60,8 @@ def test_triple_agreement_on_corpus(corpus):
         by_cycles = balance_by_cycles(g)
         assert len(by_cycles) == production.c
         flags = {vs: balanced for vs, balanced in by_cycles}
-        for comp in production.components:
-            assert flags[frozenset(comp.vertices)] == comp.balanced
+        for root, balanced in zip(np.unique(production.root).tolist(), production.component_balanced.tolist()):
+            assert flags[frozenset(np.flatnonzero(production.root == root).tolist())] == balanced
         assert balance_by_switching(g) == production.balanced
 
 

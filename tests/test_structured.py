@@ -156,7 +156,7 @@ def test_solve_all_fills_only_the_fields_asked_for(monkeypatch):
         assert np.array_equal(node.laplacian, laplacian)
 
 
-def test_block_leaves_solve_from_their_rows_and_build_their_graph_on_demand():
+def test_block_leaves_are_dense_nodes_of_their_rows():
     parts = [cycle(3, 1), SignedGraph(1), path(4, 2)]
     g = disjoint_union(parts)
     leaf = DenseNode.blocks(g, np.repeat([0, 1, 2], [3, 1, 4]), 3)
@@ -167,7 +167,6 @@ def test_block_leaves_solve_from_their_rows_and_build_their_graph_on_demand():
         assert np.array_equal(node._matrix, adjacency(part))
         assert np.array_equal(node.adjacency, spectral_node(part).adjacency)
         assert np.array_equal(node.laplacian, spectral_node(part).laplacian)
-        assert "graph" not in vars(node)  # the spectra need no graph
         assert node.balance == spectral_node(part).balance and node.graph == part
 
 
@@ -282,11 +281,13 @@ def _component_data(g: SignedGraph):
     """(edge count, balanced, bipartite, maximum degree) per component."""
     deg = degrees(g)
     out = []
-    for comp in balance_report(g).components:
-        index = {v: i for i, v in enumerate(comp.vertices)}
+    rep = balance_report(g)
+    for root, balanced in zip(np.unique(rep.root).tolist(), rep.component_balanced.tolist()):
+        vertices = np.flatnonzero(rep.root == root).tolist()
+        index = {v: i for i, v in enumerate(vertices)}
         edges = tuple((index[u], index[v], s) for u, v, s in g.edges if u in index)
         sub = SignedGraph(len(index), edges)
-        out.append((sub.m, comp.balanced, balance_report(sub).c_b == 1, int(deg[list(comp.vertices)].max())))
+        out.append((sub.m, balanced, balance_report(sub).c_b == 1, int(deg[vertices].max())))
     return out
 
 

@@ -160,10 +160,11 @@ def test_public_names_resolve(tracer_module):
             "_Dense",
             "_Product",
             "_Line",
+            "_BlockLeaf",
         },
         # cartesian: families builds leaves only and no longer imports products.
         "signet.families": {"build_family", "FamilySpec", "family_leaves", "grid", "cylinder", "torus", "cartesian"},
-        "signet.graphs": {"ARRAY_MIN_EDGES", "degree_matrix"},
+        "signet.graphs": {"ARRAY_MIN_EDGES", "degree_matrix", "ComponentReport", "_adjacency_of_rows"},
         "signet.oracle": {
             "eigenvalues_ql",
             "_householder_tridiagonalize",
